@@ -4,6 +4,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"udt/internal/core"
 	"udt/internal/packet"
@@ -94,7 +95,7 @@ func sendCycle(c *Conn, data []byte, batch *sendBatch, scratch []byte, lens []in
 	now := c.clock.Now()
 	c.core.Advance(now)
 	c.snd.Write(data)
-	n, _, _ := c.claimBurstLocked(now, scratch, lens)
+	n, _ := c.claimBurstLocked(now, scratch, lens)
 	c.mu.Unlock()
 	if n > 0 {
 		c.sendDataBurst(scratch, lens, n, burst) //nolint:errcheck
@@ -338,5 +339,61 @@ func TestDrainOutboxSizing(t *testing.T) {
 		if _, err := packet.DecodeControl(m); err != nil {
 			t.Fatalf("drained control packet does not decode: %v", err)
 		}
+	}
+}
+
+// TestSocketPathAllocs gates the batched socket path on a real loopback
+// pair: a sendmmsg batch, a GSO train (where the kernel offloads) and a
+// recvmmsg read each run without allocating. Platforms without the batched
+// path skip.
+func TestSocketPathAllocs(t *testing.T) {
+	newSock := func() *net.UDPConn {
+		u, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { u.Close() })
+		return u
+	}
+	src, dst := newSock(), newSock()
+	w := newBatchSender(src, true)
+	r := newBatchReader(dst, 8, true, nil)
+	if w == nil || r == nil {
+		t.Skip("no batched socket path on this platform")
+	}
+	to := dst.LocalAddr()
+	const seg = 1200
+	train := make([]byte, 4*seg)
+	bufs := [][]byte{train[:seg], train[seg : 2*seg], train[2*seg : 3*seg], train[3*seg:]}
+	got := 0
+	deliver := func(raw []byte, _ net.Addr, _ time.Time) { got += len(raw) }
+
+	// Each run sends one datagram and reads it back.
+	if n := testing.AllocsPerRun(100, func() {
+		if err := w.writeBatch(bufs[:1], to); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.readBatch(deliver); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("writeBatch+readBatch allocate %.1f times per call, want 0", n)
+	}
+	if got == 0 {
+		t.Fatal("nothing read back")
+	}
+	sw, ok := w.(segWriter)
+	if !ok || !sw.offloadActive() {
+		t.Skip("kernel withholds UDP_SEGMENT; GSO train not gated")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if ok, err := sw.writeSegments(bufs, seg, to); !ok || err != nil {
+			t.Fatalf("writeSegments: ok=%v err=%v", ok, err)
+		}
+		if err := r.readBatch(deliver); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("writeSegments+readBatch allocate %.1f times per call, want 0", n)
 	}
 }

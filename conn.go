@@ -568,9 +568,11 @@ func burstSize(batch, stride int) int {
 // claimed only while the pacing schedule is already due within the measured
 // cost of one UDP send — at that point the syscall, not the pacer, is the
 // bottleneck, and splitting the burst across lock round-trips would only
-// add overhead. It returns the claim count, the next wakeup deadline and
-// the last engine decision (meaningful when n == 0). Callers hold mu.
-func (c *Conn) claimBurstLocked(now int64, scratch []byte, lens []int) (n int, wake int64, d core.SendDecision) {
+// add overhead. The same rule is the pacer's catch-up: a service that runs
+// late (the shard's timer woke a millisecond after a 12 µs gap) finds every
+// packet the schedule owes already due and sends them as one train. It
+// returns the claim count and the next wakeup deadline. Callers hold mu.
+func (c *Conn) claimBurstLocked(now int64, scratch []byte, lens []int) (n int, wake int64) {
 	// NextWake, not NextTimer: a quiescent flow parks until its EXP
 	// keep-alive deadline instead of every ACK/NAK/SYN period — the ~30×
 	// wakeup reduction that lets one shard hold tens of thousands of idle
@@ -581,7 +583,6 @@ func (c *Conn) claimBurstLocked(now int64, scratch []byte, lens []int) (n int, w
 	for n < c.burst {
 		newAvail := seqno.Cmp(c.snd.NextWriteSeq(), seqno.Inc(c.core.CurSeq())) > 0
 		seq, decision := c.core.NextSend(now, newAvail)
-		d = decision
 		if decision != core.SendData && decision != core.SendRetrans {
 			switch decision {
 			case core.WaitPacing:
@@ -593,34 +594,34 @@ func (c *Conn) claimBurstLocked(now int64, scratch []byte, lens []int) (n int, w
 					wake = t
 				}
 			}
-			return n, wake, decision
+			return n, wake
 		}
 		pl, ok := c.snd.Packet(seq)
 		if !ok {
 			// The engine committed seq but the buffer cannot serve it;
 			// reconsider immediately.
-			return n, now, decision
+			return n, now
 		}
 		buf := scratch[n*stride+c.hr : (n+1)*stride]
-		c.ledger.Time(timing.BucketPack, func() {
-			m, _ := packet.EncodeData(buf, &packet.Data{Seq: seq, Timestamp: int32(now), Payload: pl})
-			if c.aead {
-				// Seal in the burst arena: payload encrypted in place, tag
-				// appended. A full packet grows back to exactly MSS, so the
-				// GSO all-MSS train check downstream is unaffected; a
-				// retransmission re-seals byte-identically (the timestamp is
-				// outside AEAD coverage), so the reused nonce carries the
-				// same message.
-				m = len(c.sec.SealData(buf[:m]))
-			}
-			lens[n] = m
-		})
+		t0 := c.ledger.Start()
+		m, _ := packet.EncodeData(buf, &packet.Data{Seq: seq, Timestamp: int32(now), Payload: pl})
+		if c.aead {
+			// Seal in the burst arena: payload encrypted in place, tag
+			// appended. A full packet grows back to exactly MSS, so the
+			// GSO all-MSS train check downstream is unaffected; a
+			// retransmission re-seals byte-identically (the timestamp is
+			// outside AEAD coverage), so the reused nonce carries the
+			// same message.
+			m = len(c.sec.SealData(buf[:m]))
+		}
+		lens[n] = m
+		c.ledger.Stop(timing.BucketPack, t0)
 		n++
 		if c.core.NextSendTime() > now+int64(c.sendCost) {
-			return n, now, decision
+			return n, now
 		}
 	}
-	return n, now, d
+	return n, now
 }
 
 // sched implements poolTask.
@@ -632,14 +633,13 @@ func (c *Conn) sched() *schedState { return &c.schedSt }
 // data packets out per the engine's schedule. Each service drains the
 // control outbox and claims a data burst under one lock acquisition, then
 // transmits everything without the lock. The returned wake is when the
-// engine next needs service (taskNever once the connection is finished);
-// spin asks the shard for §4.5 busy-wait precision on short pacing gaps.
-func (c *Conn) runTask() (int64, bool) {
+// engine next needs service (taskNever once the connection is finished).
+func (c *Conn) runTask() int64 {
 	c.mu.Lock()
 	if c.err != nil {
 		// Failed or closed: Close drains the final shutdown notices.
 		c.mu.Unlock()
-		return taskNever, false
+		return taskNever
 	}
 	now := c.clock.Now()
 	c.core.Advance(now)
@@ -648,10 +648,10 @@ func (c *Conn) runTask() (int64, bool) {
 	if c.core.Broken() {
 		c.failLocked(ErrPeerDead)
 		c.mu.Unlock()
-		return taskNever, false
+		return taskNever
 	}
 	var nData int
-	wake, decision := int64(0), core.SendData
+	var wake int64
 	if c.scratch == nil && c.snd.Pending() > 0 {
 		// First service with data queued: allocate the burst encode arena.
 		// Loss/retransmission state implies earlier data services, so a
@@ -664,7 +664,7 @@ func (c *Conn) runTask() (int64, bool) {
 		c.burstBufs = make([][]byte, 0, c.burst)
 	}
 	if c.scratch != nil {
-		nData, wake, decision = c.claimBurstLocked(now, c.scratch, c.lens)
+		nData, wake = c.claimBurstLocked(now, c.scratch, c.lens)
 	} else {
 		wake = c.core.NextWake()
 	}
@@ -675,7 +675,7 @@ func (c *Conn) runTask() (int64, bool) {
 		c.mu.Lock()
 		c.failLocked(fmt.Errorf("udt: send: %w", err))
 		c.mu.Unlock()
-		return taskNever, false
+		return taskNever
 	}
 	if nData > 0 {
 		t0 := time.Now()
@@ -684,7 +684,7 @@ func (c *Conn) runTask() (int64, bool) {
 			c.mu.Lock()
 			c.failLocked(fmt.Errorf("udt: send: %w", err))
 			c.mu.Unlock()
-			return taskNever, false
+			return taskNever
 		}
 		cost := float64(time.Since(t0).Microseconds()) / float64(nData)
 		c.mu.Lock()
@@ -698,16 +698,12 @@ func (c *Conn) runTask() (int64, bool) {
 		}
 		c.core.Controller().SetMinPeriod(c.sendCost)
 		c.mu.Unlock()
-		return 0, false // more work may be ready; re-queue immediately
+		return 0 // more work may be ready; re-queue immediately
 	}
 	if closedNow {
-		return taskNever, false
+		return taskNever
 	}
-	// Parked until wake. Short pacing gaps ask for spin service so the
-	// inter-packet period keeps microsecond accuracy when the shard can
-	// afford it (§4.5).
-	spin := decision == core.WaitPacing && wake > now && wake-now < spinDelayMax
-	return wake, spin
+	return wake
 }
 
 // sendDataBurst transmits n encoded data packets from scratch (laid out
@@ -742,9 +738,9 @@ func (c *Conn) sendDataBurst(scratch []byte, lens []int, n int, burstBufs *[][]b
 			}
 		}
 		if segOK {
-			var ok bool
-			var err error
-			c.ledger.Time(timing.BucketUDPWrite, func() { ok, err = c.sw.writeSegments(bufs, stride, c.raddr) })
+			t0 := c.ledger.Start()
+			ok, err := c.sw.writeSegments(bufs, stride, c.raddr)
+			c.ledger.Stop(timing.BucketUDPWrite, t0)
 			if ok {
 				if err != nil {
 					return sent, err
@@ -757,8 +753,9 @@ func (c *Conn) sendDataBurst(scratch []byte, lens []int, n int, burstBufs *[][]b
 		}
 	}
 	if c.bw != nil && n > 1 {
-		var err error
-		c.ledger.Time(timing.BucketUDPWrite, func() { err = c.bw.writeBatch(bufs, c.raddr) })
+		t0 := c.ledger.Start()
+		err := c.bw.writeBatch(bufs, c.raddr)
+		c.ledger.Stop(timing.BucketUDPWrite, t0)
 		c.sendSyscalls.Add(1)
 		return sent, err
 	}
@@ -773,9 +770,9 @@ func (c *Conn) sendDataBurst(scratch []byte, lens []int, n int, burstBufs *[][]b
 }
 
 func (c *Conn) sockWrite(b []byte) (int, error) {
-	var n int
-	var err error
-	c.ledger.Time(timing.BucketUDPWrite, func() { n, err = c.sock.writeTo(b, c.raddr) })
+	t0 := c.ledger.Start()
+	n, err := c.sock.writeTo(b, c.raddr)
+	c.ledger.Stop(timing.BucketUDPWrite, t0)
 	c.sendSyscalls.Add(1)
 	return n, err
 }
@@ -784,8 +781,9 @@ func (c *Conn) sockWrite(b []byte) (int, error) {
 // transport supports batching and there is more than one datagram.
 func (c *Conn) sendCtrlBatch(b *sendBatch) error {
 	if c.bw != nil && len(b.msgs) > 1 {
-		var err error
-		c.ledger.Time(timing.BucketUDPWrite, func() { err = c.bw.writeBatch(b.msgs, c.raddr) })
+		t0 := c.ledger.Start()
+		err := c.bw.writeBatch(b.msgs, c.raddr)
+		c.ledger.Stop(timing.BucketUDPWrite, t0)
 		c.sendSyscalls.Add(1)
 		return err
 	}
@@ -834,9 +832,9 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 		}
 	}
 	if !packet.IsControl(raw) {
-		var d packet.Data
-		var err error
-		c.ledger.Time(timing.BucketUnpack, func() { d, err = packet.DecodeData(raw) })
+		t0 := c.ledger.Start()
+		d, err := packet.DecodeData(raw)
+		c.ledger.Stop(timing.BucketUnpack, t0)
 		if err != nil {
 			return
 		}
@@ -848,8 +846,9 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 			c.mu.Unlock()
 			return
 		}
-		var fresh bool
-		c.ledger.Time(timing.BucketMeasure, func() { fresh = c.core.HandleData(now, d.Seq) })
+		t0 = c.ledger.Start()
+		fresh := c.core.HandleData(now, d.Seq)
+		c.ledger.Stop(timing.BucketMeasure, t0)
 		if fresh {
 			c.rcv.Store(d.Seq, d.Payload)
 			c.bytesRecv += int64(len(raw))
@@ -874,31 +873,33 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 		return
 	}
 	c.mu.Lock()
-	c.ledger.Time(timing.BucketProcessCtrl, func() {
-		switch ctrl.Type {
-		case packet.TypeACK:
-			if a, err := packet.DecodeACK(ctrl); err == nil {
-				if newly := c.core.HandleACK(now, a); newly > 0 {
-					c.snd.Release(c.core.SndLastAck())
-					c.wrReady.Broadcast()
-				}
+	t0 := c.ledger.Start()
+	switch ctrl.Type {
+	case packet.TypeACK:
+		if a, err := packet.DecodeACK(ctrl); err == nil {
+			if newly := c.core.HandleACK(now, a); newly > 0 {
+				c.snd.Release(c.core.SndLastAck())
+				c.wrReady.Broadcast()
 			}
-		case packet.TypeNAK:
-			if nak, err := packet.DecodeNAK(ctrl); err == nil {
-				c.ledger.Time(timing.BucketLossProc, func() { c.core.HandleNAK(now, nak.Losses) })
-			}
-		case packet.TypeACK2:
-			c.core.HandleACK2(now, ctrl.Extra)
-		case packet.TypeKeepAlive:
-			c.core.HandleKeepAlive(now)
-		case packet.TypeShutdown:
-			c.core.HandleShutdown(now)
-			c.failLocked(ErrClosed)
-		case packet.TypeHandshake:
-			// Duplicate handshake response (our ACK of it was lost): ignore;
-			// the listener answers duplicates for accepted conns.
 		}
-	})
+	case packet.TypeNAK:
+		if nak, err := packet.DecodeNAK(ctrl); err == nil {
+			t1 := c.ledger.Start()
+			c.core.HandleNAK(now, nak.Losses)
+			c.ledger.Stop(timing.BucketLossProc, t1)
+		}
+	case packet.TypeACK2:
+		c.core.HandleACK2(now, ctrl.Extra)
+	case packet.TypeKeepAlive:
+		c.core.HandleKeepAlive(now)
+	case packet.TypeShutdown:
+		c.core.HandleShutdown(now)
+		c.failLocked(ErrClosed)
+	case packet.TypeHandshake:
+		// Duplicate handshake response (our ACK of it was lost): ignore;
+		// the listener answers duplicates for accepted conns.
+	}
+	c.ledger.Stop(timing.BucketProcessCtrl, t0)
 	c.rcvBatch.reset()
 	c.drainOutboxLocked(&c.rcvBatch)
 	peerClosed := c.core.Closed()

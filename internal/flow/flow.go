@@ -8,7 +8,7 @@
 // All times are int64 microseconds on a monotonic clock.
 package flow
 
-import "sort"
+import "slices"
 
 // ArrivalWindow estimates the packet arrival speed through a median filter
 // on the most recent packet arrival intervals. A mean over a fixed period
@@ -21,8 +21,9 @@ type ArrivalWindow struct {
 	filled    int
 	last      int64 // previous arrival time
 	seen      bool
-	coalesced int  // arrivals in the same µs as their predecessor, pending amortization
-	burst     bool // clamp coalesced gaps to 1 µs instead of amortizing
+	coalesced int     // arrivals in the same µs as their predecessor, pending amortization
+	burst     bool    // clamp coalesced gaps to 1 µs instead of amortizing
+	sorted    []int64 // medianFiltered scratch, grown by the first estimates
 }
 
 // DefaultArrivalWindow is the history size used by UDT (16 packets).
@@ -102,13 +103,15 @@ func (w *ArrivalWindow) OnArrival(now int64) {
 // medianFiltered returns the average of the samples within (median/8,
 // median×8), and the number of samples kept. This is the paper's median
 // filter; it needs at least half the window accepted to produce an estimate.
-func medianFiltered(samples []int64) (avg int64, kept int) {
+// The samples are sorted in *scratch, which the caller's window owns, so a
+// steady estimate allocates nothing.
+func medianFiltered(samples []int64, scratch *[]int64) (avg int64, kept int) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	tmp := make([]int64, len(samples))
-	copy(tmp, samples)
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	tmp := append((*scratch)[:0], samples...)
+	*scratch = tmp
+	slices.Sort(tmp)
 	median := tmp[len(tmp)/2]
 	var sum int64
 	for _, v := range tmp {
@@ -129,7 +132,7 @@ func (w *ArrivalWindow) Rate() int32 {
 	if w.filled < len(w.intervals) {
 		return 0
 	}
-	avg, kept := medianFiltered(w.intervals[:w.filled])
+	avg, kept := medianFiltered(w.intervals[:w.filled], &w.sorted)
 	if kept <= w.filled/2 || avg <= 0 {
 		return 0
 	}
@@ -145,6 +148,7 @@ type ProbeWindow struct {
 	intervals []int64
 	pos       int
 	filled    int
+	sorted    []int64 // medianFiltered scratch, grown by the first estimates
 }
 
 // DefaultProbeWindow is the history size used by UDT (64 pairs).
@@ -187,7 +191,7 @@ func (w *ProbeWindow) Capacity() int32 {
 	if w.filled == 0 {
 		return 0
 	}
-	avg, kept := medianFiltered(w.intervals[:w.filled])
+	avg, kept := medianFiltered(w.intervals[:w.filled], &w.sorted)
 	if kept == 0 || avg <= 0 {
 		return 0
 	}

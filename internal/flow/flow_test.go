@@ -226,7 +226,8 @@ func TestPropMedianFilterBounds(t *testing.T) {
 				hi = s
 			}
 		}
-		avg, kept := medianFiltered(samples)
+		var scratch []int64
+		avg, kept := medianFiltered(samples, &scratch)
 		if kept == 0 {
 			return true
 		}
@@ -234,6 +235,28 @@ func TestPropMedianFilterBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEstimatorAllocs gates the median filter: once a window is full,
+// Rate and Capacity sort in the window's own scratch and allocate nothing.
+func TestEstimatorAllocs(t *testing.T) {
+	aw := NewArrivalWindow(DefaultArrivalWindow)
+	for now := int64(0); now <= 100*DefaultArrivalWindow; now += 100 {
+		aw.OnArrival(now)
+	}
+	pw := NewProbeWindow(DefaultProbeWindow)
+	for i := 0; i < DefaultProbeWindow; i++ {
+		pw.OnPair(int64(10 + i%3))
+	}
+	if aw.Rate() == 0 || pw.Capacity() == 0 {
+		t.Fatal("full windows produced no estimate")
+	}
+	if n := testing.AllocsPerRun(100, func() { aw.Rate() }); n != 0 {
+		t.Fatalf("ArrivalWindow.Rate allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { pw.Capacity() }); n != 0 {
+		t.Fatalf("ProbeWindow.Capacity allocates %.1f times, want 0", n)
 	}
 }
 

@@ -20,8 +20,8 @@
 //  3. a bare handshake control packet → the handshake handler (connection
 //     setup is always sent bare, so it reaches the handler on both new
 //     and old peers);
-//  4. anything else → per-peer-address table; a miss counts an unknown
-//     destination.
+//  4. anything else → per-peer-address table, keyed by AddrKey; a miss
+//     counts an unknown destination.
 //
 // Step 2 cannot misfire on bare traffic because the socket-ID space is
 // disjoint from the first words of paper-era packets: a data packet's
@@ -32,13 +32,15 @@
 //
 // The socket-ID table is sharded (16 shards selected by FNV-1a over the
 // ID bytes, one RWMutex each) so the per-packet lookup on a busy socket
-// does not serialize across flows. The ID path performs no allocation —
-// the property BenchmarkMuxDemux pins.
+// does not serialize across flows. Neither the ID path nor the address
+// path allocates — the property TestMuxDemuxZeroAlloc and
+// TestMuxDemuxBareZeroAlloc pin.
 package mux
 
 import (
 	"encoding/binary"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -80,6 +82,24 @@ func PutDest(dst []byte, id int32) {
 	binary.BigEndian.PutUint32(dst, uint32(id))
 }
 
+// AddrKey is a comparable peer-address key that costs no allocation to
+// build. A *net.UDPAddr maps to its netip.AddrPort, with an IPv4-mapped
+// IPv6 address unmapped so both spellings of one peer share a key; any
+// other address keeps its String() form (fabric.Addr's is its name).
+type AddrKey struct {
+	ap   netip.AddrPort
+	name string
+}
+
+// KeyOf returns the key of a peer address.
+func KeyOf(a net.Addr) AddrKey {
+	if u, ok := a.(*net.UDPAddr); ok {
+		ap := u.AddrPort()
+		return AddrKey{ap: netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())}
+	}
+	return AddrKey{name: a.String()}
+}
+
 const numShards = 16
 
 // shard is one lock-striped slice of the socket-ID table, padded out to a
@@ -101,7 +121,7 @@ type Core struct {
 	shards [numShards]shard
 
 	addrMu sync.RWMutex
-	byAddr map[string]Flow
+	byAddr map[AddrKey]Flow
 
 	unknownDest   atomic.Uint64
 	shortDatagram atomic.Uint64
@@ -111,7 +131,7 @@ type Core struct {
 // control packet (it may be nil to ignore them); it runs on the read-loop
 // goroutine and must not retain raw.
 func NewCore(handshake func(raw []byte, from net.Addr)) *Core {
-	c := &Core{handshake: handshake, byAddr: make(map[string]Flow)}
+	c := &Core{handshake: handshake, byAddr: make(map[AddrKey]Flow)}
 	for i := range c.shards {
 		c.shards[i].flows = make(map[int32]Flow)
 	}
@@ -168,7 +188,7 @@ func (c *Core) Dispatch(raw []byte, from net.Addr) {
 		return
 	}
 	c.addrMu.RLock()
-	f := c.byAddr[from.String()]
+	f := c.byAddr[KeyOf(from)]
 	c.addrMu.RUnlock()
 	if f == nil {
 		c.unknownDest.Add(1)
@@ -219,9 +239,9 @@ func (c *Core) Unregister(id int32) {
 	s.mu.Unlock()
 }
 
-// RegisterAddr binds f as the bare-traffic flow for a peer address key
-// (net.Addr.String() form), replacing any previous binding.
-func (c *Core) RegisterAddr(key string, f Flow) {
+// RegisterAddr binds f as the bare-traffic flow for a peer address key,
+// replacing any previous binding.
+func (c *Core) RegisterAddr(key AddrKey, f Flow) {
 	c.addrMu.Lock()
 	c.byAddr[key] = f
 	c.addrMu.Unlock()
@@ -230,7 +250,7 @@ func (c *Core) RegisterAddr(key string, f Flow) {
 // UnregisterAddr removes a peer-address binding, but only while it still
 // points at f — a flow tearing down must not evict the replacement that
 // took over its address.
-func (c *Core) UnregisterAddr(key string, f Flow) {
+func (c *Core) UnregisterAddr(key AddrKey, f Flow) {
 	c.addrMu.Lock()
 	if c.byAddr[key] == f {
 		delete(c.byAddr, key)
@@ -240,7 +260,7 @@ func (c *Core) UnregisterAddr(key string, f Flow) {
 
 // LookupAddr returns the bare-traffic flow bound to a peer address key,
 // or nil.
-func (c *Core) LookupAddr(key string) Flow {
+func (c *Core) LookupAddr(key AddrKey) Flow {
 	c.addrMu.RLock()
 	f := c.byAddr[key]
 	c.addrMu.RUnlock()

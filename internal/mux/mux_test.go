@@ -100,7 +100,7 @@ func TestDispatchOrder(t *testing.T) {
 		t.Fatalf("AllocID returned invalid ID %#x", uint32(id))
 	}
 	addrFlow := &recFlow{}
-	c.RegisterAddr(testAddr.String(), addrFlow)
+	c.RegisterAddr(KeyOf(testAddr), addrFlow)
 
 	// 1. Short datagrams are counted, never delivered.
 	c.Dispatch([]byte{1, 2, 3}, testAddr)
@@ -162,7 +162,7 @@ func TestDispatchOrder(t *testing.T) {
 
 	// Unregister closes both routes.
 	c.Unregister(id)
-	c.UnregisterAddr(testAddr.String(), addrFlow)
+	c.UnregisterAddr(KeyOf(testAddr), addrFlow)
 	c.Dispatch(prefixed(id, bare), testAddr)
 	c.Dispatch(bare, testAddr)
 	if unknown, _ := c.Counters(); unknown != 4 {
@@ -176,7 +176,7 @@ func TestDispatchOrder(t *testing.T) {
 func TestUnregisterAddrGuard(t *testing.T) {
 	c := NewCore(nil)
 	old, repl := &recFlow{}, &recFlow{}
-	key := testAddr.String()
+	key := KeyOf(testAddr)
 	c.RegisterAddr(key, old)
 	c.RegisterAddr(key, repl) // replacement takes over the address
 	c.UnregisterAddr(key, old)
@@ -262,6 +262,49 @@ func TestMuxDemuxZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("demux path allocates %.1f times per packet, want 0", allocs)
+	}
+}
+
+// TestMuxDemuxBareZeroAlloc gates the peer-address path: a bare datagram
+// from a *net.UDPAddr — every data packet a paper-era client sends to a
+// multiplexed listener — is routed without allocating.
+func TestMuxDemuxBareZeroAlloc(t *testing.T) {
+	c := NewCore(nil)
+	f := &recFlow{}
+	c.RegisterAddr(KeyOf(testAddr), f)
+	pkt := dataPacket(t, 1, "payload")
+	from := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9000}
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Dispatch(pkt, from)
+	})
+	if allocs != 0 {
+		t.Fatalf("bare demux path allocates %.1f times per packet, want 0", allocs)
+	}
+	if n, _ := f.snapshot(); n == 0 {
+		t.Fatal("bare datagram not delivered to the address flow")
+	}
+}
+
+// nameAddr is a non-UDP transport address, like fabric.Addr.
+type nameAddr string
+
+func (a nameAddr) Network() string { return "fabric" }
+func (a nameAddr) String() string  { return string(a) }
+
+func TestKeyOf(t *testing.T) {
+	v4 := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1).To4(), Port: 7}
+	mapped := &net.UDPAddr{IP: net.IPv4(10, 0, 0, 1), Port: 7} // 16-byte form
+	if KeyOf(v4) != KeyOf(mapped) {
+		t.Fatal("IPv4 and IPv4-mapped IPv6 spellings of one peer have different keys")
+	}
+	if KeyOf(v4) == KeyOf(&net.UDPAddr{IP: v4.IP, Port: 8}) {
+		t.Fatal("different ports share a key")
+	}
+	if KeyOf(nameAddr("a")) != KeyOf(nameAddr("a")) || KeyOf(nameAddr("a")) == KeyOf(nameAddr("b")) {
+		t.Fatal("named addresses must key by name")
+	}
+	if KeyOf(nameAddr("10.0.0.1:7")) == KeyOf(v4) {
+		t.Fatal("a named address collided with a UDP address")
 	}
 }
 

@@ -18,10 +18,10 @@ import "math"
 
 const (
 	// tickShift sets the wheel granularity: 1<<6 = 64 µs per tick. The
-	// engine's finest deadline is the SYN-quantized send schedule (10 ms),
-	// and inter-packet pacing below ~2 ms is handled by the worker's spin
-	// pacer, so 64 µs of quantization is far below anything the wheel is
-	// asked to time.
+	// finest deadline the wheel is asked to time is an inter-packet pacing
+	// gap, and the runtime timer the worker parks on wakes about a
+	// millisecond late anyway; the sender catches up on overdue packets in
+	// one burst, so 64 µs of quantization costs no rate.
 	tickShift = 6
 	// slotBits gives 1<<6 = 64 slots per level.
 	slotBits = 6

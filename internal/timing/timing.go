@@ -1,23 +1,16 @@
-// Package timing provides the time plumbing shared by the real transport and
-// the simulator: a microsecond monotonic clock abstraction, the
-// high-precision hybrid sleep/busy-wait pacer used to enforce the packet
-// sending period at gigabit rates (paper §4.5), and a lightweight CPU-time
-// attribution ledger used to reproduce the paper's per-function cost table
-// (Table 3).
+// Package timing provides the real transport's time plumbing: a
+// microsecond monotonic clock and a lightweight CPU-time attribution
+// ledger used to reproduce the paper's per-function cost table (Table 3).
+//
+// The paper's hybrid sleep/busy-wait pacer (§4.5) is deliberately absent:
+// the transport's scheduler parks on a timer wheel and catches a late wake
+// up by sending the overdue packets as one train (see DESIGN.md).
 package timing
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 )
-
-// Clock supplies monotonic time in microseconds. The real implementation
-// wraps the runtime monotonic clock; the simulator implements Clock over its
-// virtual event clock so the protocol engine cannot tell the difference.
-type Clock interface {
-	Now() int64 // microseconds, monotonic, origin arbitrary but fixed
-}
 
 // SysClock is the wall (monotonic) clock.
 type SysClock struct {
@@ -27,7 +20,7 @@ type SysClock struct {
 // NewSysClock returns a monotonic microsecond clock with origin ≈ now.
 func NewSysClock() *SysClock { return &SysClock{base: time.Now()} }
 
-// Now implements Clock.
+// Now returns the microseconds elapsed since the clock's origin.
 func (c *SysClock) Now() int64 { return time.Since(c.base).Microseconds() }
 
 // At converts an absolute time to this clock's microsecond timeline,
@@ -43,59 +36,15 @@ func (c *SysClock) At(t time.Time) int64 {
 	return us
 }
 
-// Pacer enforces inter-packet send times with microsecond precision.
-//
-// Operating-system sleep primitives cannot be trusted below a few hundred
-// microseconds, while a 1 Gb/s sender must hit a ~12 µs packet sending
-// period. Following §4.5, Pacer sleeps while the remaining wait is long and
-// then busy-waits (yielding the processor so other goroutines may run) for
-// the final stretch. Busy-waiting may consume a core at low rates; as the
-// paper notes, the blocking UDP send dominates at high rates, so the spin
-// time shrinks exactly when throughput matters.
-type Pacer struct {
-	clock Clock
-	// SpinThreshold is the remaining-wait below which the pacer spins
-	// instead of sleeping. Defaults to 200 µs.
-	SpinThreshold int64
-	spins         atomic.Int64 // spin iterations, for introspection/tests
-}
-
-// NewPacer returns a pacer reading time from clock.
-func NewPacer(clock Clock) *Pacer {
-	return &Pacer{clock: clock, SpinThreshold: 200}
-}
-
-// WaitUntil blocks until clock.Now() >= target (µs). It returns immediately
-// if the target is already past, and reports the lateness (non-negative) in
-// microseconds.
-func (p *Pacer) WaitUntil(target int64) int64 {
-	for {
-		now := p.clock.Now()
-		remain := target - now
-		if remain <= 0 {
-			return -remain
-		}
-		if remain > p.SpinThreshold {
-			time.Sleep(time.Duration(remain-p.SpinThreshold) * time.Microsecond)
-			continue
-		}
-		// Busy wait with a courteous yield.
-		p.spins.Add(1)
-		runtime.Gosched()
-	}
-}
-
-// Spins returns the cumulative busy-wait iterations (test instrumentation).
-func (p *Pacer) Spins() int64 { return p.spins.Load() }
-
 // Bucket identifies a cost center in the send/receive paths, mirroring the
 // function rows of the paper's Table 3.
 type Bucket int
 
-// Cost centers. Send side: UDP writing, timing (pacing waits), packing data,
-// processing control packets, application interaction. Receive side: UDP
-// reading, measurement (bandwidth/RTT/arrival speed), unpacking, loss
-// processing, timing. Other catches everything unattributed.
+// Cost centers. Send side: UDP writing, timing (the scheduler's timer
+// wheel), packing data, processing control packets, application
+// interaction. Receive side: UDP reading, measurement (bandwidth/RTT/arrival
+// speed), unpacking, loss processing, timing. Other catches everything
+// unattributed.
 const (
 	BucketUDPWrite Bucket = iota
 	BucketTiming
@@ -139,15 +88,30 @@ func (l *Ledger) Add(b Bucket, d time.Duration) {
 	l.buckets[b].Add(int64(d))
 }
 
-// Time runs f and charges its wall time to bucket b.
-func (l *Ledger) Time(b Bucket, f func()) {
+// Stamp marks the start of a timed span: nanoseconds on a process-wide
+// monotonic timeline, or 0 when the ledger that issued it is off.
+type Stamp int64
+
+// epoch is the origin of the Stamp timeline.
+var epoch = time.Now()
+
+// Start opens a span for Stop to charge. Start and Stop are the hot-path
+// form of Add: a span costs no closure, and one branch when the ledger is
+// off.
+func (l *Ledger) Start() Stamp {
 	if l == nil || !l.Enabled {
-		f()
+		return 0
+	}
+	return Stamp(time.Since(epoch))
+}
+
+// Stop charges the wall time since start to bucket b. Spans nest: an inner
+// span's time is charged to its own bucket and also to the enclosing one.
+func (l *Ledger) Stop(b Bucket, start Stamp) {
+	if start == 0 {
 		return
 	}
-	start := time.Now()
-	f()
-	l.buckets[b].Add(int64(time.Since(start)))
+	l.buckets[b].Add(int64(time.Since(epoch)) - int64(start))
 }
 
 // Total returns the sum over all buckets in nanoseconds.

@@ -19,63 +19,21 @@ func TestSysClockMonotonic(t *testing.T) {
 	}
 }
 
-// fakeClock advances only when told; lets pacer tests avoid real sleeps.
-type fakeClock struct {
-	mu  sync.Mutex
-	now int64
-}
-
-func (f *fakeClock) Now() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now += 10 // each observation costs 10 µs of virtual time
-	return f.now
-}
-
-func TestPacerWaitUntilPast(t *testing.T) {
-	p := NewPacer(NewSysClock())
-	late := p.WaitUntil(-100)
-	if late < 100 {
-		t.Fatalf("lateness = %d, want >= 100", late)
-	}
-}
-
-func TestPacerSpinsForShortWaits(t *testing.T) {
-	fc := &fakeClock{}
-	p := NewPacer(fc)
-	p.WaitUntil(500) // within the spin threshold from the start
-	if p.Spins() == 0 {
-		t.Fatal("expected busy-wait iterations for a short wait")
-	}
-}
-
-func TestPacerRealAccuracy(t *testing.T) {
-	c := NewSysClock()
-	p := NewPacer(c)
-	start := c.Now()
-	p.WaitUntil(start + 3000) // 3 ms
-	elapsed := c.Now() - start
-	if elapsed < 3000 {
-		t.Fatalf("woke early: %d µs", elapsed)
-	}
-	if elapsed > 30_000 {
-		t.Fatalf("woke far too late: %d µs", elapsed)
-	}
-}
-
 func TestLedgerDisabledIsNoop(t *testing.T) {
 	var l Ledger
 	l.Add(BucketPack, time.Second)
-	ran := false
-	l.Time(BucketUDPWrite, func() { ran = true })
-	if !ran {
-		t.Fatal("Time must run f when disabled")
+	st := l.Start()
+	if st != 0 {
+		t.Fatalf("disabled ledger issued stamp %d, want 0", st)
 	}
+	time.Sleep(time.Millisecond)
+	l.Stop(BucketUDPWrite, st)
 	if l.Total() != 0 {
 		t.Fatal("disabled ledger accumulated time")
 	}
 	var nilLedger *Ledger
 	nilLedger.Add(BucketPack, time.Second) // must not panic
+	nilLedger.Stop(BucketPack, nilLedger.Start())
 }
 
 func TestLedgerShares(t *testing.T) {
@@ -95,9 +53,26 @@ func TestLedgerShares(t *testing.T) {
 
 func TestLedgerTimeCharges(t *testing.T) {
 	l := &Ledger{Enabled: true}
-	l.Time(BucketMeasure, func() { time.Sleep(2 * time.Millisecond) })
-	if l.Nanos(BucketMeasure) < int64(time.Millisecond) {
-		t.Fatalf("Time charged %d ns", l.Nanos(BucketMeasure))
+	outer := l.Start()
+	inner := l.Start()
+	time.Sleep(2 * time.Millisecond)
+	l.Stop(BucketLossProc, inner)
+	l.Stop(BucketProcessCtrl, outer)
+	if l.Nanos(BucketLossProc) < int64(time.Millisecond) {
+		t.Fatalf("inner span charged %d ns", l.Nanos(BucketLossProc))
+	}
+	// A nested span is also charged to the enclosing bucket.
+	if l.Nanos(BucketProcessCtrl) < l.Nanos(BucketLossProc) {
+		t.Fatalf("outer span charged %d ns < inner %d ns",
+			l.Nanos(BucketProcessCtrl), l.Nanos(BucketLossProc))
+	}
+}
+
+func TestLedgerStampAllocs(t *testing.T) {
+	for _, l := range []*Ledger{nil, {}, {Enabled: true}} {
+		if n := testing.AllocsPerRun(100, func() { l.Stop(BucketPack, l.Start()) }); n != 0 {
+			t.Fatalf("Start/Stop allocates %.1f times (ledger %+v)", n, l)
+		}
 	}
 }
 

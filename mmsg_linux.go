@@ -83,6 +83,31 @@ type mmsghdr struct {
 
 const msghdrAlign = unsafe.Alignof(syscall.Msghdr{})
 
+// rawResult is the outcome of one non-blocking syscall run inside the
+// runtime poller (RawConn.Read/Write). Each reader and writer binds its
+// poller callback once, as a method value, and the callback leaves its
+// result here, so a syscall allocates no closure. RawConn.Read/Write
+// return nil only after the callback has reported done, so a nil return
+// always comes with a fresh result.
+type rawResult struct {
+	n   int
+	err error
+}
+
+// set records a syscall's return and reports whether the poller is done:
+// false on EAGAIN, so it waits for readiness and calls back.
+func (r *rawResult) set(n uintptr, e syscall.Errno) bool {
+	switch e {
+	case syscall.EAGAIN:
+		return false
+	case 0:
+		*r = rawResult{n: int(n)}
+	default:
+		*r = rawResult{err: e}
+	}
+	return true
+}
+
 // mmsgReader is the recvmmsg read path. All per-message state — buffers,
 // iovecs, raw sockaddrs, control buffers, and the net.UDPAddr values
 // handed to deliver — is preallocated and reused across batches, so
@@ -105,6 +130,9 @@ type mmsgReader struct {
 	ctrls [][]byte
 	bufs  [][]byte
 	addrs []net.UDPAddr
+
+	recvFn func(fd uintptr) bool // r.recv, bound once
+	res    rawResult
 
 	stats *offloadStats
 }
@@ -135,6 +163,7 @@ func newBatchReader(pc PacketConn, batch int, offload bool, st *offloadStats) ba
 		addrs: make([]net.UDPAddr, batch),
 		stats: st,
 	}
+	r.recvFn = r.recv
 	if offload {
 		r.gro = enableGRO(rc)
 	}
@@ -168,29 +197,13 @@ func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error 
 		}
 		r.hdrs[i].n = 0
 	}
-	var got int
-	var serr error
-	err := r.rc.Read(func(fd uintptr) bool {
-		n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
-			uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
-			syscall.MSG_DONTWAIT, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for readability in the poller
-		}
-		if e != 0 {
-			serr = e
-		} else {
-			got = int(n)
-		}
-		return true
-	})
-	if err != nil {
+	if err := r.rc.Read(r.recvFn); err != nil {
 		return err
 	}
-	if serr != nil {
-		return serr
+	if r.res.err != nil {
+		return r.res.err
 	}
-	for i := 0; i < got; i++ {
+	for i := 0; i < r.res.n; i++ {
 		from := r.sockaddr(i)
 		if from == nil {
 			continue // unknown address family; nothing to route by
@@ -208,6 +221,14 @@ func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error 
 		deliver(raw, from, time.Time{})
 	}
 	return nil
+}
+
+// recv is the recvmmsg poller callback.
+func (r *mmsgReader) recv(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&r.hdrs[0])), uintptr(len(r.hdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	return r.res.set(n, e)
 }
 
 // groSegSize extracts the UDP_GRO segment size from message i's control
@@ -279,6 +300,13 @@ type mmsgWriter struct {
 	sa4  syscall.RawSockaddrInet4
 	sa6  syscall.RawSockaddrInet6
 	cbuf [32]byte // UDP_SEGMENT control message (segCmsgSpace bytes used)
+
+	// Poller callbacks, bound once, and the state they read: the unsent
+	// tail of a sendmmsg batch, or the sendmsg header of a GSO train.
+	sendmmsgFn, sendmsgFn func(fd uintptr) bool
+	unsent                []mmsghdr
+	msg                   syscall.Msghdr
+	res                   rawResult
 }
 
 // newBatchSender returns the sendmmsg writer for a real UDP socket, or
@@ -295,6 +323,7 @@ func newBatchSender(pc PacketConn, offload bool) batchWriter {
 		return nil
 	}
 	w := &mmsgWriter{u: u, rc: rc}
+	w.sendmmsgFn, w.sendmsgFn = w.sendmmsg, w.sendmsg
 	if offload {
 		w.gso.Store(probeGSO(rc))
 	}
@@ -353,25 +382,11 @@ func (w *mmsgWriter) writeBatch(bufs [][]byte, addr net.Addr) error {
 	// everything is out or the socket reports a real error.
 	transients := 0
 	for off := 0; off < len(hdrs); {
-		sent := 0
-		var serr error
-		err := w.rc.Write(func(fd uintptr) bool {
-			n, _, e := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[off])), uintptr(len(hdrs)-off),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if e == syscall.EAGAIN {
-				return false // wait for writability in the poller
-			}
-			if e != 0 {
-				serr = e
-			} else {
-				sent = int(n)
-			}
-			return true
-		})
-		if err != nil {
+		w.unsent = hdrs[off:]
+		if err := w.rc.Write(w.sendmmsgFn); err != nil {
 			return err
 		}
+		sent, serr := w.res.n, w.res.err
 		if serr != nil {
 			if transientNetErr(serr) {
 				// sendmmsg reported a queued ICMP error (a departed
@@ -392,6 +407,21 @@ func (w *mmsgWriter) writeBatch(bufs [][]byte, addr net.Addr) error {
 		off += sent
 	}
 	return nil
+}
+
+// sendmmsg is the poller callback submitting w.unsent.
+func (w *mmsgWriter) sendmmsg(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&w.unsent[0])), uintptr(len(w.unsent)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	return w.res.set(n, e)
+}
+
+// sendmsg is the poller callback submitting w.msg.
+func (w *mmsgWriter) sendmsg(fd uintptr) bool {
+	n, _, e := syscall.Syscall6(sysSENDMSG, fd,
+		uintptr(unsafe.Pointer(&w.msg)), syscall.MSG_DONTWAIT, 0, 0, 0)
+	return w.res.set(n, e)
 }
 
 // offloadActive reports the cached UDP_SEGMENT probe verdict.
@@ -437,7 +467,7 @@ func (w *mmsgWriter) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (b
 	cm.SetLen(syscall.SizeofCmsghdr + 2)
 	*(*uint16)(unsafe.Pointer(&w.cbuf[syscall.SizeofCmsghdr])) = uint16(segSize)
 
-	var msg syscall.Msghdr
+	msg := &w.msg
 	msg.Name = name
 	msg.Namelen = namelen
 	msg.Iov = &iovs[0]
@@ -445,24 +475,10 @@ func (w *mmsgWriter) writeSegments(bufs [][]byte, segSize int, addr net.Addr) (b
 	msg.Control = &w.cbuf[0]
 	msg.SetControllen(segCmsgSpace)
 
-	var serr error
-	sent := 0
-	err := w.rc.Write(func(fd uintptr) bool {
-		n, _, e := syscall.Syscall6(sysSENDMSG, fd,
-			uintptr(unsafe.Pointer(&msg)), syscall.MSG_DONTWAIT, 0, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // wait for writability in the poller
-		}
-		if e != 0 {
-			serr = e
-		} else {
-			sent = int(n)
-		}
-		return true
-	})
-	if err != nil {
+	if err := w.rc.Write(w.sendmsgFn); err != nil {
 		return true, err
 	}
+	sent, serr := w.res.n, w.res.err
 	if serr != nil {
 		if transientNetErr(serr) {
 			// A queued ICMP error consumed the send; the train is lost on

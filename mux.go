@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -68,9 +67,9 @@ type Mux struct {
 	randMu sync.Mutex // serializes cfg.randInt31 (cfg.Rand is not goroutine safe)
 
 	mu       sync.Mutex
-	pending  map[int32]*pendingDial  // our socket ID → dial awaiting response
-	rdv      map[string]*pendingDial // peer address → rendezvous dial awaiting crossing
-	accepted map[string]*acceptEntry // addr|connID|sockID → answered request
+	pending  map[int32]*pendingDial       // our socket ID → dial awaiting response
+	rdv      map[mux.AddrKey]*pendingDial // peer address → rendezvous dial awaiting crossing
+	accepted map[hsKey]*acceptEntry       // answered requests
 	conns    map[*Conn]struct{}
 	listener *Listener
 	closed   bool
@@ -103,7 +102,7 @@ type pendingDial struct {
 	// the dial is pending it is registered in m.rdv under rdvKey; a crossing
 	// request that loses the tie-break against req is answered by building
 	// the connection directly on flow and delivering it through estab.
-	rdvKey   string
+	rdvKey   mux.AddrKey
 	rdvNonce uint64
 	isn      int32
 	flow     *muxFlow
@@ -116,33 +115,40 @@ func (pd *pendingDial) sched() *schedState { return &pd.schedSt }
 // runTask fires on the shard worker at each retransmission deadline:
 // resend the request, or declare the dial dead past its deadline. The
 // dialing goroutine is parked on pd.resp/pd.dead the whole time.
-func (pd *pendingDial) runTask() (int64, bool) {
+func (pd *pendingDial) runTask() int64 {
 	now := pd.shard.clock.Now()
 	if now >= pd.deadline {
 		select {
 		case pd.dead <- ErrTimeout:
 		default:
 		}
-		return taskNever, false
+		return taskNever
 	}
 	if _, err := pd.m.sock.WriteTo(pd.buf, pd.raddr); err != nil {
 		select {
 		case pd.dead <- fmt.Errorf("udt: handshake: %w", err):
 		default:
 		}
-		return taskNever, false
+		return taskNever
 	}
 	wake := now + hsRetryUS
 	if wake > pd.deadline {
 		wake = pd.deadline
 	}
-	return wake, false
+	return wake
 }
 
 // hsResp is a handshake response routed to a pending dial.
 type hsResp struct {
 	hs      packet.Handshake
-	fromKey string // response source address in String() form
+	fromKey mux.AddrKey // response source address
+}
+
+// hsKey identifies one connection request: the requester's address, its
+// connection ID and its socket ID. Requests are deduplicated by it.
+type hsKey struct {
+	peer           mux.AddrKey
+	connID, sockID int32
 }
 
 // acceptEntry pins the exact handshake response for one accepted request,
@@ -191,8 +197,8 @@ func newMux(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Mux, error) {
 		udpRcvBuf: rcvBuf,
 		udpSndBuf: sndBuf,
 		pending:   make(map[int32]*pendingDial),
-		rdv:       make(map[string]*pendingDial),
-		accepted:  make(map[string]*acceptEntry),
+		rdv:       make(map[mux.AddrKey]*pendingDial),
+		accepted:  make(map[hsKey]*acceptEntry),
 		conns:     make(map[*Conn]struct{}),
 		done:      make(chan struct{}),
 	}
@@ -331,10 +337,10 @@ func (r *singleReader) readBatch(deliver func([]byte, net.Addr, time.Time)) erro
 type muxFlow struct {
 	m         *Mux
 	raddr     net.Addr
-	id        int32  // our socket ID (0 only for bare accepted flows)
-	peerID    int32  // peer's socket ID; 0 = paper-era bare wire format
-	addrKey   string // bare-traffic routing key, when registered
-	acceptKey string // accepted-map key, for teardown
+	id        int32       // our socket ID (0 only for bare accepted flows)
+	peerID    int32       // peer's socket ID; 0 = paper-era bare wire format
+	addrKey   mux.AddrKey // bare-traffic routing key, when registered
+	acceptKey hsKey       // accepted-map key, for teardown
 	conn      atomic.Pointer[Conn]
 }
 
@@ -431,14 +437,14 @@ func (m *Mux) release(f *muxFlow) {
 	if f.id != 0 {
 		m.core.Unregister(f.id)
 	}
-	if f.addrKey != "" {
+	if f.addrKey != (mux.AddrKey{}) {
 		m.core.UnregisterAddr(f.addrKey, f)
 	}
 	m.mu.Lock()
 	if c := f.conn.Load(); c != nil {
 		delete(m.conns, c)
 	}
-	if f.acceptKey != "" {
+	if f.acceptKey != (hsKey{}) {
 		delete(m.accepted, f.acceptKey)
 	}
 	delete(m.pending, f.id)
@@ -796,7 +802,7 @@ func (m *Mux) completeDial(hs packet.Handshake, from net.Addr) {
 		return
 	}
 	select {
-	case pd.resp <- hsResp{hs: hs, fromKey: from.String()}:
+	case pd.resp <- hsResp{hs: hs, fromKey: mux.KeyOf(from)}:
 	default: // duplicate response; the first one won
 	}
 }
@@ -812,8 +818,7 @@ func (m *Mux) answerRequest(hs packet.Handshake, from net.Addr, raw []byte) {
 		return
 	}
 	secPeer := m.keys != nil && hs.Sec()
-	key := from.String() + "|" + strconv.FormatInt(int64(hs.ConnID), 10) +
-		"|" + strconv.FormatInt(int64(hs.SockID), 10)
+	key := hsKey{peer: mux.KeyOf(from), connID: hs.ConnID, sockID: hs.SockID}
 	m.mu.Lock()
 	if m.closed || m.listener == nil {
 		m.mu.Unlock()
@@ -852,7 +857,7 @@ func (m *Mux) answerRequest(hs packet.Handshake, from net.Addr, raw []byte) {
 			flow.id = m.core.AllocID(m.randInt31, flow)
 		} else {
 			// Old client: everything it sends is bare; route by address.
-			flow.addrKey = from.String()
+			flow.addrKey = key.peer
 			m.core.RegisterAddr(flow.addrKey, flow)
 		}
 		cfg.sockID = flow.id

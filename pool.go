@@ -24,29 +24,24 @@ import (
 // scheduling: it stays idle until an external wake (or detach).
 const taskNever = math.MaxInt64
 
-const (
-	// spinPopulation is the largest shard population for which the worker
-	// busy-waits short pacing gaps (§4.5's hybrid sleep/spin). With more
-	// residents, spinning one flow's 12 µs packet gap would starve the
-	// others, so the worker parks on the wheel instead; catch-up bursting
-	// in claimBurstLocked keeps saturation throughput.
-	spinPopulation = 2
-	// spinDelayMax mirrors the previous per-conn sender loop: pacing waits
-	// under 2 ms use the spin pacer, longer ones sleep.
-	spinDelayMax = 2000
-	// maxParkUS bounds one parked sleep; kicks end it early, this is just
-	// a backstop so an empty shard re-checks state occasionally.
-	maxParkUS = 60_000_000
-)
+// maxParkUS bounds one parked sleep; kicks end it early, this is just a
+// backstop so an empty shard re-checks state occasionally.
+const maxParkUS = 60_000_000
 
 // poolTask is a schedulable connection state machine. runTask services the
 // task once (never under the shard lock; the task takes its own) and
 // returns the next wake deadline on the shard's clock — taskNever to go
-// fully idle — plus whether that deadline is a pacing gap worth
-// busy-waiting (§4.5). sched exposes the shard-lock-guarded scheduling
-// node the worker and wheel link the task by.
+// fully idle. sched exposes the shard-lock-guarded scheduling node the
+// worker and wheel link the task by.
+//
+// Every shard parks on its wheel between deadlines, whatever its
+// population: there is no busy-wait. Runtime timers wake late (about a
+// millisecond for any sub-millisecond pacing gap), and a late wake costs
+// no rate — claimBurstLocked sends every packet the schedule owes as one
+// train, and the engine's schedule only resynchronizes after falling a
+// whole SYN behind.
 type poolTask interface {
-	runTask() (wake int64, spin bool)
+	runTask() (wake int64)
 	sched() *schedState
 }
 
@@ -66,7 +61,6 @@ const (
 // by the owning shard's mutex.
 type schedState struct {
 	state taskState
-	spin  bool // task's last runTask requested spin-pacing
 	gone  bool // worker guarantees it will never touch the task again
 	timer timerwheel.Timer
 }
@@ -79,8 +73,8 @@ type connPool struct {
 	wg     sync.WaitGroup
 }
 
-// newConnPool starts n shard workers. ledger receives the pool's pacing
-// time attribution (Table 3's "timing" row); nil disables it.
+// newConnPool starts n shard workers. ledger receives the workers' timer
+// wheel time (Table 3's "timing" row); nil disables it.
 func newConnPool(n int, ledger *timing.Ledger) *connPool {
 	if n < 1 {
 		n = 1
@@ -93,7 +87,6 @@ func newConnPool(n int, ledger *timing.Ledger) *connPool {
 			ledger: ledger,
 			kick:   make(chan struct{}, 1),
 		}
-		s.pacer = timing.NewPacer(s.clock)
 		s.cond = sync.NewCond(&s.mu)
 		p.shards[i] = s
 	}
@@ -130,7 +123,6 @@ func (p *connPool) close() {
 // deadlines and the wheel must live on one timeline.
 type poolShard struct {
 	clock  *timing.SysClock
-	pacer  *timing.Pacer
 	ledger *timing.Ledger
 
 	mu      sync.Mutex
@@ -139,7 +131,6 @@ type poolShard struct {
 	q       []poolTask // FIFO ring of ready tasks
 	qh, qn  int
 	pop     int  // attached tasks
-	nspin   int  // attached tasks whose last run requested spin-pacing
 	closed  bool // close() requested
 	stopped bool // worker has exited its loop
 
@@ -161,7 +152,7 @@ func (s *poolShard) attach(t poolTask) {
 	st := t.sched()
 	s.mu.Lock()
 	st.state = taskIdle
-	st.spin, st.gone = false, false
+	st.gone = false
 	st.timer.Owner = t
 	s.pop++
 	s.mu.Unlock()
@@ -220,10 +211,6 @@ func (s *poolShard) detach(t poolTask) {
 		st.state = taskDetached
 		s.pop--
 		s.notify()
-	}
-	if st.spin {
-		st.spin = false
-		s.nspin--
 	}
 	for !st.gone {
 		if s.stopped {
@@ -284,21 +271,16 @@ func (s *poolShard) run() {
 			s.mu.Unlock()
 			return
 		}
-		now := s.clock.Now()
-		s.wheel.Advance(now, s.fireLocked)
+		t0 := s.ledger.Start()
+		s.wheel.Advance(s.clock.Now(), s.fireLocked)
+		s.ledger.Stop(timing.BucketTiming, t0)
 		if s.qn == 0 {
 			next := s.wheel.Next()
-			wantSpin := s.nspin > 0 && s.pop <= spinPopulation
 			s.mu.Unlock()
 			noteGoroutines()
-			delay := next - s.clock.Now()
-			switch {
-			case delay <= 0:
-				// A deadline is already due; loop to fire it.
-			case wantSpin && delay < spinDelayMax:
-				// §4.5: microsecond pacing accuracy for a near-empty shard.
-				s.ledger.Time(timing.BucketTiming, func() { s.pacer.WaitUntil(next) })
-			default:
+			// Park even for a microsecond pacing gap. The timer wakes late;
+			// the task's next service catches its schedule up in one burst.
+			if delay := next - s.clock.Now(); delay > 0 {
 				if delay > maxParkUS {
 					delay = maxParkUS
 				}
@@ -324,17 +306,9 @@ func (s *poolShard) run() {
 		st.state = taskRunning
 		s.mu.Unlock()
 
-		wake, spin := t.runTask()
+		wake := t.runTask()
 
 		s.mu.Lock()
-		if st.spin != spin && st.state != taskDetached {
-			if spin {
-				s.nspin++
-			} else {
-				s.nspin--
-			}
-			st.spin = spin
-		}
 		switch {
 		case st.state == taskDetached:
 			st.gone = true
@@ -349,7 +323,9 @@ func (s *poolShard) run() {
 			s.pushLocked(t)
 		default:
 			st.state = taskIdle
+			t0 := s.ledger.Start()
 			s.wheel.Schedule(&st.timer, wake)
+			s.ledger.Stop(timing.BucketTiming, t0)
 		}
 	}
 }

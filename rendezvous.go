@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 
 	"udt/internal/mux"
 	"udt/internal/packet"
@@ -90,7 +89,7 @@ func (m *Mux) Rendezvous(raddr net.Addr) (*Conn, error) {
 	connID := m.randInt31()
 	rdvNonce := uint64(uint32(m.randInt31()))<<32 | uint64(uint32(m.randInt31()))
 	shard := m.pool.shard()
-	rdvKey := flow.raddr.String()
+	rdvKey := mux.KeyOf(flow.raddr)
 	pd := &pendingDial{
 		connID: connID, raddr: flow.raddr, resp: make(chan hsResp, 1),
 		m: m, shard: shard,
@@ -140,7 +139,7 @@ func (m *Mux) Rendezvous(raddr net.Addr) (*Conn, error) {
 	if m.rdv[rdvKey] != nil {
 		m.mu.Unlock()
 		m.core.Unregister(id)
-		return nil, fmt.Errorf("udt: a rendezvous with %s is already in progress", rdvKey)
+		return nil, fmt.Errorf("udt: a rendezvous with %s is already in progress", flow.raddr)
 	}
 	m.pending[id] = pd
 	m.rdv[rdvKey] = pd
@@ -309,12 +308,11 @@ func rdvWins(ours, theirs *packet.Handshake) bool {
 // ourselves actively transmitting to, so there is no amplification to
 // prevent — but with a PSK the request authenticator must still verify.
 func (m *Mux) rendezvousCross(hs packet.Handshake, from net.Addr, raw []byte) {
-	key := from.String() + "|" + strconv.FormatInt(int64(hs.ConnID), 10) +
-		"|" + strconv.FormatInt(int64(hs.SockID), 10)
+	key := hsKey{peer: mux.KeyOf(from), connID: hs.ConnID, sockID: hs.SockID}
 	m.mu.Lock()
 	closed := m.closed
 	e := m.accepted[key]
-	pd := m.rdv[from.String()]
+	pd := m.rdv[key.peer]
 	m.mu.Unlock()
 	if closed {
 		return
@@ -361,7 +359,7 @@ func (m *Mux) rendezvousCross(hs packet.Handshake, from net.Addr, raw []byte) {
 // on the pending dial's already-allocated flow, pin the response for
 // duplicate requests, and hand the connection to the goroutine parked in
 // Mux.Rendezvous. Runs on the read-loop goroutine.
-func (m *Mux) rdvAccept(pd *pendingDial, hs packet.Handshake, from net.Addr, key string, aead bool) {
+func (m *Mux) rdvAccept(pd *pendingDial, hs packet.Handshake, from net.Addr, key hsKey, aead bool) {
 	m.mu.Lock()
 	if m.closed || m.rdv[pd.rdvKey] != pd {
 		// The dial resolved (response path, timeout, or teardown) between

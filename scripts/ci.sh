@@ -20,6 +20,10 @@ go run ./scripts/mdcheck
 # the chaos harness in short mode, before the full (slower) race run.
 go test -race -short ./internal/mux ./internal/netem/chaos
 go test -race ./...
+# The benchmark is its own Go module, so ./... above never reaches it: run
+# its short tests (the byte verifier, the loss-path check on traced bulk,
+# server-failure attribution) against this checkout.
+(cd udtbench && go test -short .)
 # Fuzz smoke: the handshake codec — including the security option fields
 # an attacker controls pre-authentication — must never panic or over-read,
 # and must stay canonical (decode∘encode identity). A short run per pass;
