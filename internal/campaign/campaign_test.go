@@ -136,7 +136,11 @@ func TestJitterFreeRouterPathIsFIFO(t *testing.T) {
 // pinnedSmallDumbbellDigest is the replay fingerprint of smallDumbbell(3).
 // It must never change on refactors; an intentional behavior change must
 // update it in the same commit with an explanation.
-const pinnedSmallDumbbellDigest uint64 = 0x4e27470ac8ff3326
+//
+// Re-pinned for the keep-alive fix: a keep-alive no longer postpones the
+// receiving side's EXP timer, which changes the idle flows' keep-alive
+// exchange after their transfers finish.
+const pinnedSmallDumbbellDigest uint64 = 0xc0d1be157a36f7c6
 
 func TestSmallDumbbellReplayDigestPinned(t *testing.T) {
 	r1, _, err := Run(smallDumbbell(3))

@@ -697,10 +697,17 @@ func (c *Conn) HandleACK2(now int64, ackID int32) {
 	}
 }
 
-// HandleKeepAlive refreshes peer liveness.
+// HandleKeepAlive refreshes peer liveness without postponing this side's
+// EXP timer. A keep-alive only proves the peer is there; it acknowledges
+// nothing. If it pushed tEXP back like a data or feedback packet does, the
+// side whose EXP fires first would keep the other side's EXP from ever
+// firing: that side would then never send its own keep-alive (and would be
+// declared dead after PeerDeathTime of an idle but healthy connection), nor
+// retransmit a lost tail while its peer idles.
 func (c *Conn) HandleKeepAlive(now int64) {
 	if !c.closed {
-		c.peerAlive(now)
+		c.lastRsp = now
+		c.expCount = 0
 	}
 }
 

@@ -404,6 +404,46 @@ func TestConnKeepAliveWhenIdle(t *testing.T) {
 	}
 }
 
+// TestLostTailRepairedWhileReceiverKeepsAlive pins the sender's EXP rescue
+// against an idle receiver. The last packets of a transfer are lost, so no
+// loss report can name them; only the sender's EXP can repair them. The
+// receiver's EXP period is the shorter one, so its keep-alives reach the
+// sender before the sender's own EXP fires. A keep-alive must not postpone
+// that EXP: if it did, the tail would never be retransmitted and the
+// receiver would end up declaring the idle sender dead.
+func TestLostTailRepairedWhileReceiverKeepsAlive(t *testing.T) {
+	l := newTestLink(1000, Config{MSS: 1500, PeerDeathTime: 5_000_000})
+	l.ends[0].conn.cfg.MinEXP = 400_000 // the receiver's EXP (≤ 312 ms) fires first
+	const pkts = 20
+	want := make([]byte, pkts*1492) // 1500-byte MSS less the 8-byte data header
+	rand.New(rand.NewSource(3)).Read(want)
+	isn := l.ends[0].conn.Config().ISN
+	tail := seqno.Add(isn, pkts-3)
+	dropped := make(map[int32]bool)
+	l.drop = func(from int, seq int32) bool {
+		if from != 0 || seqno.Cmp(seq, tail) < 0 || dropped[seq] {
+			return false
+		}
+		dropped[seq] = true // first transmission only
+		return true
+	}
+	l.ends[0].snd.Write(want)
+	l.pump(3_000_000)
+	if len(dropped) != 3 {
+		t.Fatalf("dropped %d tail packets, want 3", len(dropped))
+	}
+	if !bytes.Equal(l.ends[1].got, want) {
+		t.Fatalf("delivered %d of %d bytes: the lost tail was never repaired", len(l.ends[1].got), len(want))
+	}
+	snd, rcv := l.ends[0].conn, l.ends[1].conn
+	if snd.Stats.Timeouts == 0 {
+		t.Fatal("the tail was repaired without an EXP timeout")
+	}
+	if snd.Broken() || rcv.Broken() {
+		t.Fatalf("healthy connection declared dead: sender %v, receiver %v", snd.Broken(), rcv.Broken())
+	}
+}
+
 func TestConnACKAdvancesAndACK2Emitted(t *testing.T) {
 	c := NewConn(Config{MSS: 1500}, 500)
 	c.Start(0)

@@ -3,22 +3,44 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"testing"
+
+	"udt/internal/netem"
 )
 
 // quickMatrixDigest folds every observable field of a QuickMatrix run into
-// one FNV-64a value: virtual elapsed time, timeout flags, both peers' full
-// counter sets, per-direction path impairment counters, and the mux cell's
-// per-flow outcomes. Any behavioral drift in the engine, the fabric, or the
-// driver loop changes it.
+// one FNV-64a value, cell by cell: pass, virtual elapsed time and timeout
+// flag; both ends' full outcome (byte counts, stream hash, death time,
+// every protocol counter) for each flow, source end first; and each link
+// direction's fabric counters. Any behavioral drift in the engine, the
+// fabric, or the driver loop changes it.
 func quickMatrixDigest(seed int64) uint64 {
 	h := fnv.New64a()
 	for _, cr := range RunMatrix(seed, QuickMatrix()) {
-		fmt.Fprintf(h, "%s|%v|%d|%v|%+v|%+v|%v|%s|%s\n",
-			cr.Case.Name, cr.Pass, cr.Result.Elapsed, cr.Result.TimedOut, cr.Result.A, cr.Result.B, cr.Mux,
-			realDigest(cr.Real), fsDigest(cr.FS))
+		fmt.Fprintf(h, "%s|%v|%s|%s\n", cr.Case.Name, cr.Pass, realDigest(cr.Real), fsDigest(cr.FS))
+		switch {
+		case cr.Mux != nil:
+			fmt.Fprintf(h, "elapsed=%d timedout=%v\n", cr.Mux.Elapsed, cr.Mux.TimedOut)
+			for _, f := range cr.Mux.Flows {
+				fmt.Fprintf(h, "src=%+v\ndst=%+v\n", f.A, f.B)
+			}
+			linkDigest(h, "a", "b", cr.Mux.PathAB)
+			linkDigest(h, "b", "a", cr.Mux.PathBA)
+		case cr.Real == nil && cr.FS == nil:
+			fmt.Fprintf(h, "elapsed=%d timedout=%v\n", cr.Result.Elapsed, cr.Result.TimedOut)
+			fmt.Fprintf(h, "src=%+v\ndst=%+v\n", cr.Result.A, cr.Result.B)
+			linkDigest(h, "a", "b", cr.Result.PathAB)
+			linkDigest(h, "b", "a", cr.Result.PathBA)
+		}
 	}
 	return h.Sum64()
+}
+
+// linkDigest folds one link direction's delivery and drop counters.
+func linkDigest(w io.Writer, from, to string, st netem.PathStats) {
+	fmt.Fprintf(w, "link %s>%s offered=%d delivered=%d lost=%d dropq=%d dropinbox=%d\n",
+		from, to, st.Offered, st.Delivered, st.Lost, st.DroppedQueue, st.DroppedInboxFull)
 }
 
 // realDigest and fsDigest fold only the seed-deterministic outcome of the
@@ -60,8 +82,15 @@ func fsDigest(r *FSResult) string {
 // rdv-loss-1pct and fs-kill-resume cells, folded via their deterministic
 // outcome fields only (realDigest/fsDigest). The virtual-clock cells'
 // digest contributions are unchanged.
+//
+// Re-derived for the keep-alive fix (a keep-alive no longer postpones the
+// receiving side's EXP timer): loss-episode finishes at 1.322 s instead of
+// 1.912 s virtual (retransmissions 42 → 44) and mux-64flows at 353.156 ms
+// instead of 353.914 ms; every other cell is unchanged. The digest input
+// is now spelled out field by field, so that it no longer depends on how a
+// result type prints.
 func TestQuickMatrixReplayDigest(t *testing.T) {
-	const pinned uint64 = 0x07522ef4a62ef1e6
+	const pinned uint64 = 0x59f98bac5f0b6f73
 	got := quickMatrixDigest(1)
 	t.Logf("QuickMatrix(seed=1) digest: %016x", got)
 	if got != pinned {

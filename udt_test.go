@@ -380,6 +380,37 @@ func TestPeerDeathDetected(t *testing.T) {
 	}
 }
 
+// TestIdleConnOutlivesPeerDeathTimeout keeps a healthy connection idle for
+// several PeerDeathTimeouts after a transfer. The two ends' keep-alives must
+// keep each other alive, so a second transfer still goes through.
+func TestIdleConnOutlivesPeerDeathTimeout(t *testing.T) {
+	cfg := &Config{PeerDeathTimeout: time.Second, MinEXPInterval: 50 * time.Millisecond}
+	cli, srv, _ := pair(t, cfg)
+	transfer := func(round int64) {
+		t.Helper()
+		msg := make([]byte, 64<<10)
+		rand.New(rand.NewSource(round)).Read(msg)
+		errc := make(chan error, 1)
+		go func() {
+			_, err := cli.Write(msg)
+			errc <- err
+		}()
+		got := make([]byte, len(msg))
+		if _, err := io.ReadFull(srv, got); err != nil {
+			t.Fatalf("transfer %d: read: %v", round, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("transfer %d: write: %v", round, err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("transfer %d: payload corrupted", round)
+		}
+	}
+	transfer(1)
+	time.Sleep(3 * cfg.PeerDeathTimeout)
+	transfer(2)
+}
+
 func TestStatsSnapshot(t *testing.T) {
 	cli, srv, _ := pair(t, nil)
 	go cli.Write(make([]byte, 100000))
