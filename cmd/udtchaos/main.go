@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 
 	"udt"
@@ -53,14 +52,14 @@ func main() {
 	}
 
 	failed := 0
-	cases := chaos.QuickMatrix()
+	cases := campaign.QuickMatrix()
 	if *ccmatrix {
-		cases = chaos.CCMatrix()
+		cases = campaign.CCMatrix()
 	}
-	results := chaos.RunMatrix(*seed, cases)
-	var second []chaos.CaseResult
+	results := campaign.RunMatrix(*seed, cases)
+	var second []campaign.CaseResult
 	if *determinism {
-		second = chaos.RunMatrix(*seed, cases)
+		second = campaign.RunMatrix(*seed, cases)
 	}
 	for i, cr := range results {
 		status := "ok"
@@ -70,60 +69,31 @@ func main() {
 		}
 		det := ""
 		if *determinism {
-			identical := reflect.DeepEqual(cr.Result, second[i].Result) &&
-				reflect.DeepEqual(cr.Mux, second[i].Mux) &&
-				realIdentical(cr.Real, second[i].Real) &&
-				fsIdentical(cr.FS, second[i].FS)
-			if identical {
+			if cellFingerprint(cr) == cellFingerprint(second[i]) {
 				det = " replay=identical"
 			} else {
 				det = " replay=DIVERGED"
 				failed++
 			}
 		}
-		if cr.Real != nil {
+		switch {
+		case cr.Real != nil:
 			r := cr.Real
 			fmt.Printf("%-22s %-4s wall=%8.3fs recv=%d retrans=%d%s\n",
 				cr.Case.Name, status, r.Elapsed.Seconds(), r.RecvBytes, r.Client.PktsRetrans, det)
 			if *verbose {
 				fmt.Printf("    client: %+v\n    server: %+v\n", r.Client, r.Server)
 			}
-			continue
-		}
-		if cr.FS != nil {
+		case cr.FS != nil:
 			f := cr.FS
 			fmt.Printf("%-22s %-4s wall=%8.3fs bytes=%d killed=%v resumes=%d%s\n",
 				cr.Case.Name, status, f.Elapsed.Seconds(), f.Bytes, f.Killed, f.Resumes, det)
 			if *verbose {
 				fmt.Printf("    c->s: %+v\n    s->c: %+v\n", f.PathCS, f.PathSC)
 			}
-			continue
-		}
-		if cr.Mux != nil {
-			m := cr.Mux
-			fmt.Printf("%-22s %-4s virtual=%8.3fs flows=%d/%d demux-drops a=(%d,%d) b=(%d,%d)%s\n",
-				cr.Case.Name, status, float64(m.Elapsed)/1e6,
-				m.FlowsOK, len(m.Flows),
-				m.UnknownDestA, m.ShortA, m.UnknownDestB, m.ShortB, det)
-			if len(cr.Case.CCs) > 0 {
-				// Fairness cell: show how the shared link split per law.
-				for j, f := range m.Flows {
-					fmt.Printf("    flow %d %-9s goodput a=%.2f Mb/s b=%.2f Mb/s\n",
-						j, f.CC, f.GoodputAMbps, f.GoodputBMbps)
-				}
-			}
-			if *verbose {
-				fmt.Printf("    a->b: %+v\n    b->a: %+v\n", m.PathAB, m.PathBA)
-			}
-			continue
-		}
-		r := cr.Result
-		fmt.Printf("%-22s %-4s virtual=%8.3fs a{recv=%s dead=%v} b{recv=%s dead=%v}%s\n",
-			cr.Case.Name, status, float64(r.Elapsed)/1e6,
-			okStr(r.A.RecvOK), r.A.Broken, okStr(r.B.RecvOK), r.B.Broken, det)
-		if *verbose {
-			fmt.Printf("    a: %+v\n    b: %+v\n    a->b: %+v\n    b->a: %+v\n",
-				r.A.Stats, r.B.Stats, r.PathAB, r.PathBA)
+		default:
+			fmt.Printf("%-22s %-4s %s%s\n", cr.Case.Name, status, cr.Report, det)
+			printDetail(cr.Report, *verbose)
 		}
 	}
 
@@ -207,15 +177,8 @@ func runCampaigns(determinism, kv bool, metricsFile, reportDir string, verbose b
 		if !rep.OK {
 			failed++
 		}
-		fmt.Printf("%s%s\n", rep, det)
-		if verbose {
-			for _, l := range rep.Links {
-				if l.DroppedQueue > 0 || l.Lost > 0 {
-					fmt.Printf("    link %s→%s offered=%d delivered=%d dropq=%d maxq=%d\n",
-						l.From, l.To, l.Offered, l.Delivered, l.DroppedQueue, l.MaxQueuePkts)
-				}
-			}
-		}
+		fmt.Printf("%-12s %s%s\n", spec.Name, rep, det)
+		printDetail(rep, verbose)
 		for k, v := range rep.Metrics() {
 			metrics[k] = v
 		}
@@ -269,33 +232,46 @@ func writeReport(dir, name string, rep *campaign.Report) error {
 	return f.Close()
 }
 
-func okStr(ok bool) string {
-	if ok {
-		return "ok"
+// printDetail prints a virtual-clock report's per-law breakdown when its
+// flows mix laws (each direction's share of the run: received bytes over
+// elapsed time), and with verbose every impaired link direction and every
+// flow's counters.
+func printDetail(rep *campaign.Report, verbose bool) {
+	if len(rep.Summary.CCGoodput) > 1 && len(rep.Flows) <= 8 {
+		for _, f := range rep.Flows {
+			fmt.Printf("    flow %d %-9s goodput fwd=%.2f Mb/s back=%.2f Mb/s\n", f.ID, f.CC,
+				float64(f.RecvBytes)*8/float64(rep.ElapsedUs), float64(f.BackRecvBytes)*8/float64(rep.ElapsedUs))
+		}
 	}
-	return "bad"
+	if !verbose {
+		return
+	}
+	for _, l := range rep.Links {
+		if l.DroppedQueue > 0 || l.Lost > 0 {
+			fmt.Printf("    link %s→%s offered=%d delivered=%d lost=%d dropq=%d maxq=%d\n",
+				l.From, l.To, l.Offered, l.Delivered, l.Lost, l.DroppedQueue, l.MaxQueuePkts)
+		}
+	}
+	if len(rep.Flows) <= 8 {
+		for _, f := range rep.Flows {
+			fmt.Printf("    flow %d src: %+v\n    flow %d dst: %+v\n", f.ID, f.SrcPeer.Stats, f.ID, f.DstPeer.Stats)
+		}
+	}
 }
 
-// realIdentical and fsIdentical compare only the seed-deterministic
-// outcome of the wall-clock cells: wall time, protocol counters and the
-// exact resume count legitimately vary between runs.
-func realIdentical(a, b *chaos.RealResult) bool {
-	if (a == nil) != (b == nil) {
-		return false
+// cellFingerprint is what a replay of a cell must reproduce: a
+// virtual-clock cell's report digest, or the seed-deterministic outcome of
+// a wall-clock cell (wall time, protocol counters and the exact resume
+// count legitimately vary between runs).
+func cellFingerprint(cr campaign.CaseResult) string {
+	switch {
+	case cr.Real != nil:
+		r := cr.Real
+		return fmt.Sprintf("%v %x %x %d", r.OK, r.SentHash, r.RecvHash, r.RecvBytes)
+	case cr.FS != nil:
+		f := cr.FS
+		return fmt.Sprintf("%v %x %x %d %v %v", f.OK, f.WantHash, f.GotHash, f.Bytes, f.Killed, f.Resumes > 0)
+	default:
+		return fmt.Sprintf("%016x", cr.Report.Digest())
 	}
-	if a == nil {
-		return true
-	}
-	return a.OK == b.OK && a.SentHash == b.SentHash && a.RecvHash == b.RecvHash && a.RecvBytes == b.RecvBytes
-}
-
-func fsIdentical(a, b *chaos.FSResult) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	return a.OK == b.OK && a.WantHash == b.WantHash && a.GotHash == b.GotHash &&
-		a.Bytes == b.Bytes && a.Killed == b.Killed && (a.Resumes > 0) == (b.Resumes > 0)
 }

@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"net"
 	"sort"
 
+	"udt/internal/mux"
 	"udt/internal/netem"
 	"udt/internal/netem/chaos"
+	"udt/internal/secure"
 	"udt/internal/seqno"
 	"udt/internal/trace"
 )
@@ -17,17 +20,22 @@ import (
 // socket buffer — are where congestion shows up.
 const routerInboxPkts = 65536
 
-// FlowSpec is one unidirectional transfer: Src opens a connection to Dst,
-// sends Payload bytes under the named congestion-control law, starting at
-// StartAt µs of virtual time.
+// FlowSpec is one transfer: Src opens a connection to Dst and sends Payload
+// bytes, Dst sends Back bytes the other way on the same connection, starting
+// at StartAt µs of virtual time.
 type FlowSpec struct {
-	// Src and Dst are leaf node names in the topology.
+	// Src and Dst are node names in the topology.
 	Src, Dst string
-	// CC names the congestion controller ("native", "ctcp", "bbrlite", ...);
-	// empty selects the native law.
+	// CC names the congestion controller ("native", "ctcp", "bbrlite", ...)
+	// both ends run; empty selects the native law.
 	CC string
-	// Payload is the transfer size in bytes.
+	// DstCC, when set, overrides CC at Dst: the two ends of one connection
+	// then run different laws.
+	DstCC string
+	// Payload is the transfer size in bytes, Src to Dst.
 	Payload int
+	// Back is the transfer size in bytes, Dst to Src (often 0).
+	Back int
 	// StartAt is the flow's arrival time, µs of virtual time.
 	StartAt int64
 }
@@ -44,8 +52,8 @@ type Spec struct {
 	Topology *Topology
 	// Flows are the transfers; index is the flow ID in reports.
 	Flows []FlowSpec
-	// MSS is the UDT packet size (the routing header rides outside it).
-	// Default 576 — many engines, small buffers, like the mux harness.
+	// MSS is the UDT packet size (any framing rides outside it). Default
+	// 576 — many engines, small buffers.
 	MSS int
 	// SndBufPkts and RcvBufPkts size each flow's buffers. Default 64.
 	SndBufPkts, RcvBufPkts int
@@ -62,6 +70,11 @@ type Spec struct {
 	PerfEverySYN int
 	// Events are scripted mid-campaign faults, fired in At order.
 	Events []chaos.Event
+	// Secure runs every flow over the sealed AEAD channel: both ends hold
+	// seed-derived sessions (key material drawn from the campaign's RNG,
+	// exactly as a completed authenticated handshake would leave them), so
+	// a duplicating link doubles as a replay attack on the control channel.
+	Secure bool
 }
 
 func (s *Spec) fill() {
@@ -134,27 +147,69 @@ func AssignPayload(flows []FlowSpec, bytes int) []FlowSpec {
 	return flows
 }
 
-// flowState is one running flow: the initiating (sending) peer at Src, the
-// responding (receiving) peer at Dst, and the bookkeeping the driver needs.
-type flowState struct {
-	spec      FlowSpec
-	initiator *chaos.Peer
-	responder *chaos.Peer
-	started   bool
-	doneAt    int64 // first instant both sides were finished; -1 while running
+// end is one flow end: a peer hosted at a node. It implements mux.Flow so a
+// node hosting several ends can demultiplex to it by socket ID.
+type end struct {
+	peer *chaos.Peer
+	vc   *netem.VirtualClock
 }
 
-// leaf binds a peer to the endpoint it drains and the wire index it
-// accepts datagrams for.
-type leaf struct {
-	peer *chaos.Peer
-	ep   *netem.Endpoint
-	idx  uint16
+// HandleDatagram delivers one arriving datagram to the peer at the current
+// virtual instant. A broken peer's datagrams are read and discarded.
+func (e *end) HandleDatagram(raw []byte) {
+	if !e.peer.Broken() {
+		e.peer.Deliver(e.vc.Now(), raw)
+	}
+}
+
+// node is one topology node as the driver schedules it: a router forwards,
+// a leaf hosts flow ends.
+type node struct {
+	name  string
+	ep    *netem.Endpoint
+	idx   uint16
+	ends  []*end
+	demux *mux.Core // set when the node hosts more than one flow end
+}
+
+// flowState is one running flow: the initiating peer at Src, the responding
+// peer at Dst, and the bookkeeping the driver needs.
+type flowState struct {
+	spec    FlowSpec
+	src     *chaos.Peer
+	dst     *chaos.Peer
+	started bool
+	doneAt  int64 // first instant both ends were finished; -1 while running
+}
+
+// over reports the flow needs no more driving: both ends finished once, or
+// each end is finished or broken.
+func (fl *flowState) over() bool {
+	return fl.doneAt >= 0 ||
+		(fl.src.Broken() || fl.src.Finished()) && (fl.dst.Broken() || fl.dst.Finished())
 }
 
 // Run executes one campaign under a virtual clock and returns its Report
 // (plus the Monitor holding the full per-flow/per-link series). It is fully
 // deterministic: same Spec, byte-identical Report.
+//
+// Run is the repository's one virtual-time driver. Each round, at virtual
+// time now, it fires due events and arrivals, lets every router forward its
+// queued datagrams, then visits the leaves: each leaf reads its queued
+// datagrams, hands them to its flow ends, and services each end (timers,
+// control output, paced data). Routers go in name order, leaves in the
+// order the flows first name them, ends in flow order. When a round made
+// progress the next one runs at the same instant; otherwise the clock jumps
+// to the earliest of the next event, arrival, link sample, fabric delivery
+// and every started peer's NextWake — finished flows included, so their
+// keep-alives run as they would on a real socket.
+//
+// The wire framing follows the topology, never an option: a datagram
+// carries the destination node's 2-byte index only when the topology has a
+// router, and the destination end's 4-byte socket ID (demultiplexed by a
+// mux.Core, as the production udt.Mux does) only when the destination node
+// hosts more than one flow end. A two-node, one-flow campaign therefore
+// sends bare UDT packets.
 func Run(spec Spec) (*Report, *Monitor, error) {
 	spec.fill()
 	topo := spec.Topology
@@ -172,25 +227,47 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	nw := netem.New(spec.Seed, vc)
 	rng := rand.New(rand.NewSource(spec.Seed)) //nolint:gosec // reproducibility, not crypto
 
-	// Endpoints: leaves (flow endpoints) get the default inbox, routers get
-	// deep ones so queueing concentrates in the link queues under test.
-	isLeaf := make(map[string]bool, 2*len(spec.Flows))
+	// Nodes: leaves (flow endpoints) get the default inbox, routers get deep
+	// ones so queueing concentrates in the link queues under test.
+	hosted := make(map[string]int, 2*len(spec.Flows))
+	var leafOrder []string
 	for _, f := range spec.Flows {
-		isLeaf[f.Src] = true
-		isLeaf[f.Dst] = true
+		for _, n := range []string{f.Src, f.Dst} {
+			if hosted[n] == 0 {
+				leafOrder = append(leafOrder, n)
+			}
+			hosted[n]++
+		}
 	}
-	eps := make(map[string]*netem.Endpoint, len(topo.nodes))
+	nodes := make(map[string]*node, len(topo.nodes))
+	var routers []*node
 	for _, n := range topo.nodes {
 		buf := 0 // default
-		if !isLeaf[n] {
+		if hosted[n] == 0 {
 			buf = routerInboxPkts
 		}
 		ep, err := nw.EndpointBuf(n, buf)
 		if err != nil {
 			return nil, nil, err
 		}
-		eps[n] = ep
+		nd := &node{name: n, ep: ep, idx: uint16(topo.index[n])}
+		if hosted[n] > 1 {
+			// No bare traffic reaches a demultiplexing node: a handshake or
+			// an unknown socket ID counts as a drop (Report.Misrouted).
+			nd.demux = mux.NewCore(nil)
+		}
+		if hosted[n] == 0 {
+			routers = append(routers, nd)
+		}
+		nodes[n] = nd
 	}
+	// Routers forward in sorted-name order each round — deterministic.
+	sort.Slice(routers, func(i, j int) bool { return routers[i].name < routers[j].name })
+	order := routers
+	for _, n := range leafOrder {
+		order = append(order, nodes[n])
+	}
+	routed := len(routers) > 0
 	for _, l := range topo.links {
 		nw.SetLink(l.a, l.b, l.cfg)
 	}
@@ -198,56 +275,86 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 
 	monitor := newMonitor(len(spec.Flows), topo)
 
-	// Build the flows. All random draws happen here, in flow order, so the
-	// draw sequence is a function of the Spec alone.
+	// wire returns the transmit hook of a flow end at node from whose peer
+	// end, registered under socket ID peerID, sits at node to.
+	wire := func(from, to string, peerID int32) func([]byte) {
+		var prefix []byte
+		if routed {
+			prefix = binary.BigEndian.AppendUint16(prefix, uint16(topo.index[to]))
+		}
+		if nodes[to].demux != nil {
+			prefix = binary.BigEndian.AppendUint32(prefix, uint32(peerID))
+		}
+		return writer(nodes[from].ep, nodes[hops[from][to]].ep.LocalAddr(), prefix, spec.MSS)
+	}
+
+	// Build the flows. All random draws happen here, in flow order — payload,
+	// back payload, the two ISNs, then any sealing material — so the draw
+	// sequence is a function of the Spec alone.
 	flows := make([]*flowState, len(spec.Flows))
-	var leaves []leaf
 	for i, f := range spec.Flows {
 		payload := make([]byte, f.Payload)
 		rng.Read(payload) //nolint:errcheck // never fails
-		isnI := rng.Int31() & seqno.Max
-		isnR := rng.Int31() & seqno.Max
+		back := make([]byte, f.Back)
+		rng.Read(back) //nolint:errcheck
+		isnS := rng.Int31() & seqno.Max
+		isnD := rng.Int31() & seqno.Max
+		var secS, secD *secure.Session
+		if spec.Secure {
+			var psk [32]byte
+			var nonceS, nonceD [16]byte
+			rng.Read(psk[:])    //nolint:errcheck // never fails
+			rng.Read(nonceS[:]) //nolint:errcheck
+			rng.Read(nonceD[:]) //nolint:errcheck
+			keys := secure.DeriveKeys(psk[:])
+			secS = secure.NewSession(keys, nonceS[:], nonceD[:], true, isnS, isnD, true)
+			secD = secure.NewSession(keys, nonceS[:], nonceD[:], false, isnD, isnS, true)
+		}
+		dstCC := f.CC
+		if f.DstCC != "" {
+			dstCC = f.DstCC
+		}
+		idS := mux.MakeID(int32(0x1000_0000 + i))
+		idD := mux.MakeID(int32(0x2000_0000 + i))
 		base := chaos.PeerOptions{
-			MSS:             spec.MSS,
-			SndBufPkts:      spec.SndBufPkts,
-			RcvBufPkts:      spec.RcvBufPkts,
-			MinEXP:          spec.MinEXP,
-			PeerDeathTime:   spec.PeerDeathTime,
-			CC:              f.CC,
-			TrackAckLatency: false,
+			MSS:           spec.MSS,
+			SndBufPkts:    spec.SndBufPkts,
+			RcvBufPkts:    spec.RcvBufPkts,
+			MinEXP:        spec.MinEXP,
+			PeerDeathTime: spec.PeerDeathTime,
 		}
-		iOpts := base
-		iOpts.Name = fmt.Sprintf("%s→%s#%d", f.Src, f.Dst, i)
-		iOpts.ISN, iOpts.PeerISN = isnI, isnR
-		iOpts.Payload = payload
-		iOpts.TrackAckLatency = true
-		initiator := chaos.NewPeer(iOpts)
-		rOpts := base
-		rOpts.Name = fmt.Sprintf("%s←%s#%d", f.Dst, f.Src, i)
-		rOpts.ISN, rOpts.PeerISN = isnR, isnI
-		rOpts.Expect = payload
-		responder := chaos.NewPeer(rOpts)
-
-		initiator.SetOut(hopWriter(eps[f.Src], eps[hops[f.Src][f.Dst]], uint16(topo.index[f.Dst]), spec.MSS))
-		responder.SetOut(hopWriter(eps[f.Dst], eps[hops[f.Dst][f.Src]], uint16(topo.index[f.Src]), spec.MSS))
-		initiator.AttachPerf(monitor, spec.PerfEverySYN, int32(i), f.CC, trace.RoleSender)
-		responder.AttachPerf(monitor, spec.PerfEverySYN, int32(i), f.CC, trace.RoleReceiver)
-
-		flows[i] = &flowState{spec: f, initiator: initiator, responder: responder, doneAt: -1}
-		leaves = append(leaves,
-			leaf{peer: initiator, ep: eps[f.Src], idx: uint16(topo.index[f.Src])},
-			leaf{peer: responder, ep: eps[f.Dst], idx: uint16(topo.index[f.Dst])},
-		)
-	}
-
-	// Routers forward in sorted-name order each round — deterministic.
-	var routers []string
-	for _, n := range topo.nodes {
-		if !isLeaf[n] {
-			routers = append(routers, n)
+		sOpts := base
+		sOpts.Name = fmt.Sprintf("%s→%s#%d", f.Src, f.Dst, i)
+		sOpts.CC = f.CC
+		sOpts.ISN, sOpts.PeerISN = isnS, isnD
+		sOpts.Payload, sOpts.Expect = payload, back
+		sOpts.Out = wire(f.Src, f.Dst, idD)
+		sOpts.Secure = secS
+		sOpts.TrackAckLatency = true
+		dOpts := base
+		dOpts.Name = fmt.Sprintf("%s←%s#%d", f.Dst, f.Src, i)
+		dOpts.CC = dstCC
+		dOpts.ISN, dOpts.PeerISN = isnD, isnS
+		dOpts.Payload, dOpts.Expect = back, payload
+		dOpts.Out = wire(f.Dst, f.Src, idS)
+		dOpts.Secure = secD
+		fl := &flowState{spec: f, src: chaos.NewPeer(sOpts), dst: chaos.NewPeer(dOpts), doneAt: -1}
+		fl.src.AttachPerf(monitor, spec.PerfEverySYN, int32(i), f.CC, trace.RoleSender)
+		fl.dst.AttachPerf(monitor, spec.PerfEverySYN, int32(i), dstCC, trace.RoleReceiver)
+		for _, e := range []struct {
+			at   string
+			id   int32
+			peer *chaos.Peer
+		}{{f.Src, idS, fl.src}, {f.Dst, idD, fl.dst}} {
+			nd := nodes[e.at]
+			ep := &end{peer: e.peer, vc: vc}
+			nd.ends = append(nd.ends, ep)
+			if nd.demux != nil && !nd.demux.Register(e.id, ep) {
+				panic(fmt.Sprintf("campaign: socket ID collision at flow %d", i))
+			}
 		}
+		flows[i] = fl
 	}
-	sort.Strings(routers)
 
 	events := append([]chaos.Event(nil), spec.Events...)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -276,54 +383,44 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 		for len(arrivals) > 0 && flows[arrivals[0]].spec.StartAt <= now {
 			fl := flows[arrivals[0]]
 			arrivals = arrivals[1:]
-			fl.initiator.Start(now)
-			fl.responder.Start(now)
+			fl.src.Start(now)
+			fl.dst.Start(now)
 			fl.started = true
 			progress = true
 		}
-		// Router hop: re-offer each queued datagram onto its next link, so
-		// it picks up that link's delay/loss/queue on the way.
-		for _, rt := range routers {
-			ep := eps[rt]
+		for _, nd := range order {
 			for {
-				n, _, ok := ep.TryReadFrom(rbuf)
+				n, from, ok := nd.ep.TryReadFrom(rbuf)
 				if !ok {
 					break
 				}
 				progress = true
-				if n < hdrSize {
-					unroutable++
+				if len(nd.ends) == 0 {
+					// Router hop: re-offer the datagram onto its next link,
+					// so it picks up that link's delay/loss/queue.
+					if !forward(nd, rbuf[:n], topo, hops, nodes) {
+						unroutable++
+					}
 					continue
 				}
-				dst := binary.BigEndian.Uint16(rbuf)
-				if int(dst) >= len(topo.nodes) {
-					unroutable++
-					continue
+				b := rbuf[:n]
+				if routed {
+					if n < hdrSize || binary.BigEndian.Uint16(b) != nd.idx {
+						misrouted++
+						continue
+					}
+					b = b[hdrSize:]
 				}
-				nh, ok := hops[rt][topo.nodes[dst]]
-				if !ok {
-					unroutable++
-					continue
+				if nd.demux != nil {
+					nd.demux.Dispatch(b, from)
+				} else {
+					nd.ends[0].HandleDatagram(b)
 				}
-				ep.WriteTo(rbuf[:n], eps[nh].LocalAddr()) //nolint:errcheck // losses are the point
 			}
-		}
-		// Leaf drains + engine service.
-		for _, lf := range leaves {
-			for {
-				n, _, ok := lf.ep.TryReadFrom(rbuf)
-				if !ok {
-					break
+			for _, e := range nd.ends {
+				if e.peer.Service(now) {
+					progress = true
 				}
-				progress = true
-				if n < hdrSize || binary.BigEndian.Uint16(rbuf) != lf.idx {
-					misrouted++
-					continue
-				}
-				lf.peer.Deliver(now, rbuf[hdrSize:n])
-			}
-			if lf.peer.Service(now) {
-				progress = true
 			}
 		}
 		// Measurement tick.
@@ -337,19 +434,13 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 			if !fl.started {
 				continue
 			}
-			iDead := fl.initiator.NoteBroken(now)
-			rDead := fl.responder.NoteBroken(now)
-			if fl.doneAt < 0 {
-				switch {
-				case fl.initiator.Finished() && fl.responder.Finished():
-					fl.doneAt = now
-				case iDead && rDead:
-					// both ends gave up: over, unsuccessfully
-				case iDead || rDead:
-					done = false // the survivor must still detect the death
-				default:
-					done = false
-				}
+			fl.src.NoteBroken(now)
+			fl.dst.NoteBroken(now)
+			if fl.doneAt < 0 && fl.src.Finished() && fl.dst.Finished() {
+				fl.doneAt = now
+			}
+			if !fl.over() {
+				done = false
 			}
 		}
 		if done {
@@ -373,11 +464,9 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 			wake = nextSample
 		}
 		for _, fl := range flows {
-			if !fl.started || fl.doneAt >= 0 {
-				continue
+			if fl.started {
+				wake = fl.dst.NextWake(fl.src.NextWake(wake))
 			}
-			wake = fl.initiator.NextWake(wake)
-			wake = fl.responder.NextWake(wake)
 		}
 		if t, ok := vc.NextEvent(); ok && t < wake {
 			wake = t
@@ -389,28 +478,51 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	}
 
 	rep.ElapsedUs = vc.Now()
+	for _, nd := range nodes {
+		if nd.demux != nil {
+			unknown, short := nd.demux.Counters()
+			misrouted += int64(unknown + short)
+		}
+	}
 	rep.Misrouted = misrouted
 	rep.Unroutable = unroutable
 	buildFlowReports(rep, flows)
 	buildLinkReports(rep, monitor, nw)
 	summarize(rep)
-	rep.OK = !rep.TimedOut && rep.Summary.FlowsOK == len(rep.Flows) && misrouted == 0 && unroutable == 0
-	for _, n := range topo.nodes {
-		eps[n].Close() //nolint:errcheck
+	rep.OK = !rep.TimedOut && rep.Summary.FlowsOK == len(rep.Flows) && rep.Misrouted == 0 && unroutable == 0
+	for _, nd := range nodes {
+		nd.ep.Close() //nolint:errcheck
 	}
 	return rep, monitor, nil
 }
 
-// hopWriter returns a Peer out hook that prepends the destination node
-// index and offers the datagram to the first hop — the origin half of the
-// campaign routing shim.
-func hopWriter(ep *netem.Endpoint, firstHop *netem.Endpoint, dst uint16, mss int) func([]byte) {
-	buf := make([]byte, hdrSize+mss+64) // slack for sealed control growth
-	to := firstHop.LocalAddr()
+// forward re-offers one datagram a router received toward the next hop of
+// the node its header names, reporting false when the header names no
+// reachable node.
+func forward(rt *node, b []byte, topo *Topology, hops map[string]map[string]string, nodes map[string]*node) bool {
+	if len(b) < hdrSize {
+		return false
+	}
+	dst := binary.BigEndian.Uint16(b)
+	if int(dst) >= len(topo.nodes) {
+		return false
+	}
+	nh, ok := hops[rt.name][topo.nodes[dst]]
+	if !ok {
+		return false
+	}
+	rt.ep.WriteTo(b, nodes[nh].ep.LocalAddr()) //nolint:errcheck // losses are the point
+	return true
+}
+
+// writer returns a Peer out hook that prepends prefix (the topology's
+// framing) to every datagram and offers it to the first hop.
+func writer(ep *netem.Endpoint, firstHop net.Addr, prefix []byte, mss int) func([]byte) {
+	buf := make([]byte, len(prefix)+mss+secure.CtrlOverhead) // slack for sealed control growth
+	copy(buf, prefix)
 	return func(b []byte) {
-		n := copy(buf[hdrSize:], b)
-		binary.BigEndian.PutUint16(buf, dst)
-		ep.WriteTo(buf[:hdrSize+n], to) //nolint:errcheck // losses are the point
+		n := copy(buf[len(prefix):], b)
+		ep.WriteTo(buf[:len(prefix)+n], firstHop) //nolint:errcheck // losses are the point
 	}
 }
 
@@ -418,26 +530,30 @@ func hopWriter(ep *netem.Endpoint, firstHop *netem.Endpoint, dst uint16, mss int
 func buildFlowReports(rep *Report, flows []*flowState) {
 	rep.Flows = make([]FlowReport, len(flows))
 	for i, fl := range flows {
-		ir := fl.initiator.Result()
-		rr := fl.responder.Result()
+		sr := fl.src.Result()
+		dr := fl.dst.Result()
 		fr := FlowReport{
-			ID:        i,
-			Src:       fl.spec.Src,
-			Dst:       fl.spec.Dst,
-			CC:        ccName(fl.spec.CC),
-			StartAtUs: fl.spec.StartAt,
-			DoneAtUs:  fl.doneAt,
-			SentBytes: ir.SentBytes,
-			RecvBytes: rr.RecvBytes,
-			RecvOK:    rr.RecvOK,
-			Retrans:   ir.Stats.PktsRetrans,
-			Timeouts:  ir.Stats.Timeouts,
-			Broken:    ir.Broken || rr.Broken,
+			ID:            i,
+			Src:           fl.spec.Src,
+			Dst:           fl.spec.Dst,
+			CC:            ccName(fl.spec.CC),
+			DstCC:         fl.spec.DstCC,
+			StartAtUs:     fl.spec.StartAt,
+			DoneAtUs:      fl.doneAt,
+			SentBytes:     sr.SentBytes,
+			RecvBytes:     dr.RecvBytes,
+			BackRecvBytes: sr.RecvBytes,
+			RecvOK:        dr.RecvOK && sr.RecvOK,
+			Retrans:       sr.Stats.PktsRetrans,
+			Timeouts:      sr.Stats.Timeouts,
+			Broken:        sr.Broken || dr.Broken,
+			SrcPeer:       sr,
+			DstPeer:       dr,
 		}
-		if fl.doneAt > fl.spec.StartAt && rr.RecvOK {
-			fr.GoodputMbps = float64(rr.RecvBytes) * 8 / float64(fl.doneAt-fl.spec.StartAt) // bits/µs ≡ Mb/s
+		if fl.doneAt > fl.spec.StartAt && fr.RecvOK {
+			fr.GoodputMbps = float64(dr.RecvBytes) * 8 / float64(fl.doneAt-fl.spec.StartAt) // bits/µs ≡ Mb/s
 		}
-		fr.P99AckUs = p99(fl.initiator.AckLatencies())
+		fr.P99AckUs = p99(fl.src.AckLatencies())
 		rep.Flows[i] = fr
 	}
 }

@@ -9,21 +9,28 @@ import (
 	"sort"
 
 	"udt/internal/netem"
+	"udt/internal/netem/chaos"
 )
 
 // FlowReport is one flow's outcome.
 type FlowReport struct {
-	ID        int    `json:"id"`
-	Src       string `json:"src"`
-	Dst       string `json:"dst"`
-	CC        string `json:"cc"`
+	ID  int    `json:"id"`
+	Src string `json:"src"`
+	Dst string `json:"dst"`
+	CC  string `json:"cc"`
+	// DstCC is the law at Dst when it differs from CC.
+	DstCC     string `json:"dst_cc,omitempty"`
 	StartAtUs int64  `json:"start_at_us"`
 	// DoneAtUs is the first virtual instant both ends were finished; -1 when
 	// the flow never completed.
 	DoneAtUs  int64 `json:"done_at_us"`
 	SentBytes int   `json:"sent_bytes"`
-	RecvBytes int   `json:"recv_bytes"`
-	RecvOK    bool  `json:"recv_ok"`
+	// RecvBytes is what Dst read; BackRecvBytes is what Src read of the
+	// back payload.
+	RecvBytes     int `json:"recv_bytes"`
+	BackRecvBytes int `json:"back_recv_bytes,omitempty"`
+	// RecvOK reports both directions' streams arrived intact.
+	RecvOK bool `json:"recv_ok"`
 	// GoodputMbps is the delivered rate over the flow's own lifetime
 	// (RecvBytes·8/(DoneAt−StartAt)); 0 for unfinished flows.
 	GoodputMbps float64 `json:"goodput_mbps"`
@@ -32,6 +39,10 @@ type FlowReport struct {
 	Retrans  int64 `json:"retrans"`
 	Timeouts int64 `json:"timeouts"`
 	Broken   bool  `json:"broken"`
+	// SrcPeer and DstPeer are the two ends' full outcomes: byte counts,
+	// stream hash, death time and every protocol counter.
+	SrcPeer chaos.PeerResult `json:"-"`
+	DstPeer chaos.PeerResult `json:"-"`
 }
 
 // LinkReport is one link direction's outcome: the fabric's impairment
@@ -84,8 +95,10 @@ type Report struct {
 	OK        bool   `json:"ok"`
 	TimedOut  bool   `json:"timed_out"`
 	// Misrouted counts datagrams that reached a leaf carrying another
-	// node's index; Unroutable counts datagrams a router could not forward.
-	// Either nonzero indicates a topology/routing bug and fails the run.
+	// node's index, or a socket ID (or too few bytes for one) that no flow
+	// end at a demultiplexing node holds; Unroutable counts datagrams a
+	// router could not forward. Either nonzero indicates a topology/routing
+	// bug and fails the run.
 	Misrouted  int64        `json:"misrouted"`
 	Unroutable int64        `json:"unroutable"`
 	Flows      []FlowReport `json:"-"`
@@ -234,9 +247,16 @@ func CISet() []Spec {
 	}
 }
 
-// String renders the one-line human summary udtchaos prints per campaign.
+// String renders the one-line human summary udtchaos prints after the
+// name of each campaign and each virtual-clock matrix cell.
 func (r *Report) String() string {
-	return fmt.Sprintf("%-12s ok=%-5v flows=%d/%d agg=%.2f Mb/s jain=%.3f p99ack=%dµs retrans=%d virtual=%.3fs",
-		r.Name, r.OK, r.Summary.FlowsOK, r.Summary.Flows, r.Summary.AggGoodputMbps,
+	broken := 0
+	for i := range r.Flows {
+		if r.Flows[i].Broken {
+			broken++
+		}
+	}
+	return fmt.Sprintf("ok=%-5v flows=%d/%d broken=%d agg=%.2f Mb/s jain=%.3f p99ack=%dµs retrans=%d virtual=%.3fs",
+		r.OK, r.Summary.FlowsOK, r.Summary.Flows, broken, r.Summary.AggGoodputMbps,
 		r.Summary.JainIndex, r.Summary.P99AckUs, r.Summary.RetransTotal, float64(r.ElapsedUs)/1e6)
 }

@@ -131,15 +131,17 @@ func (t *Topology) pathNodes(src, dst string) ([]string, error) {
 	return path, nil
 }
 
-// validate checks the flows fit the topology: every endpoint exists and is
-// used by at most one flow end (leaves do not forward, so a leaf serving
-// two flows — or sitting on another flow's route — would silently eat
-// transit datagrams).
+// validate checks the flows fit the topology: every endpoint exists, no
+// flow routes through another flow's endpoint (leaves do not forward, so a
+// leaf on another flow's route would silently eat transit datagrams), and a
+// node hosts several flow ends only when the topology has no router.
+// Routed shapes give every flow end a leaf of its own, so one framing layer
+// (node index or socket ID) is all a datagram ever carries.
 func (t *Topology) validate(flows []FlowSpec) error {
 	if len(flows) == 0 {
 		return fmt.Errorf("campaign: no flows")
 	}
-	endpoint := make(map[string]int) // leaf name → flow using it
+	endpoint := make(map[string]int) // leaf name → first flow using it
 	for i, f := range flows {
 		if f.Src == f.Dst {
 			return fmt.Errorf("campaign: flow %d sends to itself (%q)", i, f.Src)
@@ -148,10 +150,20 @@ func (t *Topology) validate(flows []FlowSpec) error {
 			if _, ok := t.index[n]; !ok {
 				return fmt.Errorf("campaign: flow %d endpoint %q not in topology", i, n)
 			}
-			if j, dup := endpoint[n]; dup {
-				return fmt.Errorf("campaign: node %q is an endpoint of both flow %d and flow %d", n, j, i)
+			if _, dup := endpoint[n]; !dup {
+				endpoint[n] = i
 			}
-			endpoint[n] = i
+		}
+	}
+	if len(endpoint) < len(t.nodes) {
+		seen := make(map[string]int)
+		for i, f := range flows {
+			for _, n := range []string{f.Src, f.Dst} {
+				if j, dup := seen[n]; dup {
+					return fmt.Errorf("campaign: node %q is an endpoint of both flow %d and flow %d", n, j, i)
+				}
+				seen[n] = i
+			}
 		}
 	}
 	for i, f := range flows {

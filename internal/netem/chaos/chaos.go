@@ -1,30 +1,24 @@
-// Package chaos is the fault-injection harness: it drives the real UDT
-// protocol engines (internal/core) over a netem fabric and asserts
+// Package chaos is the fault-injection toolkit: the pieces that drive the
+// real UDT protocol engines (internal/core) over a netem fabric and check
 // end-to-end properties — data integrity under impairment, eventual
 // peer-death detection across partitions, bounded recovery times.
 //
-// Two drivers are provided. Run executes both endpoints single-threaded
-// under a netem.VirtualClock, so an entire transfer — every packet
-// arrival, timer expiry and impairment draw — is a deterministic function
-// of the Config: two runs with the same seed produce bit-identical
-// Results, and simulated minutes elapse in milliseconds of real time.
-// RunReal executes the full concurrent udt stack (Dial/Listen, goroutines,
-// wall clock) over the same fabric, trading replayability for coverage of
-// the production code path.
+// Peer is one single-threaded protocol endpoint, the virtual-clock
+// counterpart of udt.Conn's goroutines; Event and the scenario scripts
+// (PartitionAt, RTTStep, LossBurst) are scripted faults. The virtual-time
+// driver that schedules Peers — two of them, or thousands across a
+// multi-node topology — is internal/campaign's Run, which also holds the
+// fault matrices. Under it a whole transfer, every packet arrival, timer
+// expiry and impairment draw, is a deterministic function of the seed.
 //
-// The endpoint machinery itself — the exported Peer — is shared with
-// internal/campaign, which schedules many Peers across multi-node
-// topologies under the same virtual clock.
+// RunReal, RunRendezvous and RunFS instead execute the full concurrent udt
+// stack (Dial/Listen, goroutines, wall clock) over the same fabric, trading
+// replayability for coverage of the production code path.
 package chaos
 
 import (
-	"math/rand"
-	"sort"
-
 	"udt/internal/core"
 	"udt/internal/netem"
-	"udt/internal/secure"
-	"udt/internal/seqno"
 )
 
 // Event is a scripted mid-transfer fault: at virtual time At (µs from the
@@ -35,57 +29,6 @@ type Event struct {
 	At int64
 	// Do mutates the fabric: partition, heal, change a link's impairments.
 	Do func(nw *netem.Net)
-}
-
-// Config parameterizes one virtual-clock chaos run between two peers named
-// "a" and "b".
-type Config struct {
-	// Seed drives every random choice: the payload bytes, the handshake
-	// sequence numbers and all netem impairment draws.
-	Seed int64
-	// PayloadA and PayloadB are the bytes a and b send (either may be 0).
-	PayloadA, PayloadB int
-	// MSS is the UDT packet size in bytes. Default 1472.
-	MSS int
-	// SndBufPkts and RcvBufPkts size the peer buffers. Default 4096.
-	SndBufPkts, RcvBufPkts int
-	// Link is applied to both directions before the run starts.
-	Link netem.LinkConfig
-	// MinEXP and PeerDeathTime tune failure detection, in µs; zero keeps
-	// the core defaults (300 ms floor, 5 s death).
-	MinEXP, PeerDeathTime int64
-	// Events are scripted faults, fired in At order.
-	Events []Event
-	// MaxVirtualTime aborts the run after this much virtual time, µs.
-	// Default 120 s.
-	MaxVirtualTime int64
-	// CCA and CCB name each peer's congestion controller ("native",
-	// "ctcp", "scalable", "hstcp"). Empty selects the native law with a
-	// nil factory — the exact pre-pluggable construction path.
-	CCA, CCB string
-	// Secure runs the transfer over the sealed AEAD channel: both peers
-	// hold seed-derived sessions (key material drawn from the run's RNG,
-	// exactly as a completed authenticated handshake would leave them) and
-	// every packet is sealed on send and opened on receive. Duplication
-	// impairments then double as replay attacks against the control
-	// channel, which the anti-replay window must absorb without breaking
-	// the transfer.
-	Secure bool
-}
-
-func (c *Config) fill() {
-	if c.MSS == 0 {
-		c.MSS = 1472
-	}
-	if c.SndBufPkts == 0 {
-		c.SndBufPkts = 4096
-	}
-	if c.RcvBufPkts == 0 {
-		c.RcvBufPkts = 4096
-	}
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = 120_000_000
-	}
 }
 
 // PeerResult is one endpoint's outcome.
@@ -108,125 +51,4 @@ type PeerResult struct {
 	AuthFails, ReplayDrops uint64
 	// Stats is the engine's final protocol counters.
 	Stats core.Stats
-}
-
-// Result is the outcome of one chaos run. Under the virtual clock it is a
-// pure function of the Config — compare two same-seed Results with
-// reflect.DeepEqual to verify determinism.
-type Result struct {
-	// OK reports both transfers completed with matching checksums.
-	OK bool
-	// TimedOut reports the run hit MaxVirtualTime before finishing.
-	TimedOut bool
-	// Elapsed is the virtual duration of the run, µs.
-	Elapsed int64
-	// A and B are the per-endpoint outcomes.
-	A, B PeerResult
-	// PathAB and PathBA are the fabric's impairment counters per direction.
-	PathAB, PathBA netem.PathStats
-}
-
-// Run executes one chaos transfer under a virtual clock and returns its
-// outcome. It is fully deterministic: same Config, same Result.
-func Run(cfg Config) Result {
-	cfg.fill()
-	vc := netem.NewVirtualClock(0)
-	nw := netem.New(cfg.Seed, vc)
-	rng := rand.New(rand.NewSource(cfg.Seed)) //nolint:gosec // reproducibility, not crypto
-
-	epA, err := nw.Endpoint("a")
-	if err != nil {
-		panic(err) // fresh fabric: cannot collide
-	}
-	epB, _ := nw.Endpoint("b")
-	nw.SetLink("a", "b", cfg.Link)
-
-	payA := make([]byte, cfg.PayloadA)
-	rng.Read(payA) //nolint:errcheck // never fails
-	payB := make([]byte, cfg.PayloadB)
-	rng.Read(payB) //nolint:errcheck
-
-	isnA := rng.Int31() & seqno.Max
-	isnB := rng.Int31() & seqno.Max
-	// Seed-derived sealing state, drawn after the payloads and ISNs so a
-	// secure run moves the same stream bytes as its cleartext twin.
-	var secA, secB *secure.Session
-	if cfg.Secure {
-		var psk [32]byte
-		var nonceA, nonceB [16]byte
-		rng.Read(psk[:])    //nolint:errcheck // never fails
-		rng.Read(nonceA[:]) //nolint:errcheck
-		rng.Read(nonceB[:]) //nolint:errcheck
-		keys := secure.DeriveKeys(psk[:])
-		secA = secure.NewSession(keys, nonceA[:], nonceB[:], true, isnA, isnB, true)
-		secB = secure.NewSession(keys, nonceA[:], nonceB[:], false, isnB, isnA, true)
-	}
-	a := newPeer("a", cfg, cfg.CCA, isnA, isnB, epA, epB.LocalAddr(), payA, payB, secA)
-	b := newPeer("b", cfg, cfg.CCB, isnB, isnA, epB, epA.LocalAddr(), payB, payA, secB)
-
-	events := append([]Event(nil), cfg.Events...)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-
-	a.Start(vc.Now())
-	b.Start(vc.Now())
-
-	res := Result{}
-	peers := [2]*Peer{a, b}
-	for {
-		now := vc.Now()
-		progress := false
-		for len(events) > 0 && events[0].At <= now {
-			events[0].Do(nw)
-			events = events[1:]
-			progress = true
-		}
-		for _, p := range peers {
-			if p.Pump(now) {
-				progress = true
-			}
-		}
-		done := true
-		for _, p := range peers {
-			if p.NoteBroken(now) {
-				continue
-			}
-			if !p.Finished() {
-				done = false
-			}
-		}
-		if done {
-			break
-		}
-		if now >= cfg.MaxVirtualTime {
-			res.TimedOut = true
-			break
-		}
-		if progress {
-			continue // re-pump at the same instant before sleeping
-		}
-		wake := cfg.MaxVirtualTime
-		if len(events) > 0 && events[0].At < wake {
-			wake = events[0].At
-		}
-		for _, p := range peers {
-			wake = p.NextWake(wake)
-		}
-		if t, ok := vc.NextEvent(); ok && t < wake {
-			wake = t
-		}
-		if wake <= now {
-			wake = now + 1 // guarantee progress even on zero-delay links
-		}
-		vc.AdvanceTo(wake)
-	}
-
-	res.Elapsed = vc.Now()
-	res.A = a.Result()
-	res.B = b.Result()
-	res.OK = !res.TimedOut && a.Finished() && b.Finished() && res.A.RecvOK && res.B.RecvOK
-	res.PathAB = nw.PathStats("a", "b")
-	res.PathBA = nw.PathStats("b", "a")
-	epA.Close() //nolint:errcheck
-	epB.Close() //nolint:errcheck
-	return res
 }

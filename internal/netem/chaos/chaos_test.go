@@ -1,195 +1,11 @@
 package chaos
 
 import (
-	"reflect"
 	"testing"
 
 	"udt"
 	"udt/internal/netem"
 )
-
-func TestDeterministicReplay(t *testing.T) {
-	cfg := Config{
-		Seed:     99,
-		PayloadA: 512 << 10,
-		PayloadB: 256 << 10,
-		Link:     netem.LinkConfig{Delay: 3000, Jitter: 2000, Loss: 0.02, Dup: 0.002, Corrupt: 0.001},
-	}
-	one, two := Run(cfg), Run(cfg)
-	if !reflect.DeepEqual(one, two) {
-		t.Fatalf("same-seed runs diverged:\n%+v\n%+v", one, two)
-	}
-	if !one.OK {
-		t.Fatalf("transfer failed: %+v", one)
-	}
-	if one.A.Stats.PktsRetrans == 0 {
-		t.Fatal("2% loss produced no retransmissions")
-	}
-	cfg.Seed = 100
-	other := Run(cfg)
-	if reflect.DeepEqual(one, other) {
-		t.Fatal("different seeds produced identical runs (seed unused?)")
-	}
-}
-
-// TestPartitionPeerDeathBound scripts a permanent mid-transfer partition
-// and requires both engines to detect peer death inside the window
-// [PeerDeathTime, 2.5·PeerDeathTime] after the cut — the silence
-// requirement is a lower bound, and the capped EXP backoff means 16
-// expirations land not far above it.
-func TestPartitionPeerDeathBound(t *testing.T) {
-	const (
-		cutAt     = 30_000
-		deathTime = 2_000_000
-	)
-	r := Run(Config{
-		Seed:           5,
-		PayloadA:       4 << 20,
-		PayloadB:       4 << 20,
-		Link:           netem.LinkConfig{Delay: 2000, RateMbps: 100, QueuePkts: 64},
-		Events:         PartitionAt(cutAt, 0),
-		MinEXP:         50_000,
-		PeerDeathTime:  deathTime,
-		MaxVirtualTime: 30_000_000,
-	})
-	if r.TimedOut {
-		t.Fatalf("run timed out: %+v", r)
-	}
-	for name, p := range map[string]PeerResult{"a": r.A, "b": r.B} {
-		if !p.Broken {
-			t.Fatalf("peer %s never detected death: %+v", name, p)
-		}
-		since := p.BrokenAt - cutAt
-		if since < deathTime {
-			t.Errorf("peer %s died %dµs after the cut, before the %dµs silence bound", name, since, deathTime)
-		}
-		if since > deathTime*5/2 {
-			t.Errorf("peer %s took %dµs to die, beyond 2.5×PeerDeathTime", name, since)
-		}
-	}
-}
-
-// TestScenarioRecovery pins the two recovery scripts: a healed partition
-// and a transient loss episode must both end in a complete, checksum-clean
-// transfer with no death declared.
-func TestScenarioRecovery(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		events []Event
-	}{
-		{"partition-heal", PartitionAt(20_000, 320_000)},
-		{"loss-episode", LossBurst(15_000, 150_000, 0.3)},
-		{"rtt-step", RTTStep(15_000, 25_000)},
-	} {
-		r := Run(Config{
-			Seed:     21,
-			PayloadA: 512 << 10,
-			PayloadB: 512 << 10,
-			Link:     netem.LinkConfig{Delay: 2000, RateMbps: 100, QueuePkts: 64},
-			Events:   tc.events,
-		})
-		if !r.OK || r.A.Broken || r.B.Broken {
-			t.Errorf("%s: no recovery: ok=%v timedout=%v a=%+v b=%+v",
-				tc.name, r.OK, r.TimedOut, r.A, r.B)
-		}
-	}
-}
-
-// TestQuickMatrixPasses keeps the CI matrix itself under test: every cell
-// must meet its success criterion at the default seed.
-func TestQuickMatrixPasses(t *testing.T) {
-	for _, cr := range RunMatrix(1, QuickMatrix()) {
-		if !cr.Pass {
-			t.Errorf("%s failed: %+v", cr.Case.Name, cr.Result)
-		}
-	}
-}
-
-// TestCCMatrixPasses runs the congestion-control matrix: every pluggable
-// law must carry its transfer, and the fairness cells must complete with
-// both laws making progress on the shared link.
-func TestCCMatrixPasses(t *testing.T) {
-	for _, cr := range RunMatrix(1, CCMatrix()) {
-		if !cr.Pass {
-			if cr.Mux != nil {
-				t.Errorf("%s failed: %+v", cr.Case.Name, *cr.Mux)
-			} else {
-				t.Errorf("%s failed: %+v", cr.Case.Name, cr.Result)
-			}
-			continue
-		}
-		if cr.Mux != nil {
-			for i, f := range cr.Mux.Flows {
-				if f.GoodputAMbps <= 0 || f.GoodputBMbps <= 0 {
-					t.Errorf("%s: flow %d (%s) reported zero goodput: %+v", cr.Case.Name, i, f.CC, f)
-				}
-			}
-		}
-	}
-}
-
-// TestCCMatrixDeterministic pins the tentpole's replay requirement: a
-// fairness cell racing two different laws over one seeded path must be a
-// pure function of the seed, per-flow goodput included.
-func TestCCMatrixDeterministic(t *testing.T) {
-	cell := Case{}
-	for _, cs := range CCMatrix() {
-		if cs.Name == "cc-fair-native-ctcp" {
-			cell = cs
-		}
-	}
-	if cell.Name == "" {
-		t.Fatal("cc-fair-native-ctcp cell missing from CCMatrix")
-	}
-	run := func() CaseResult { return RunMatrix(42, []Case{cell})[0] }
-	one := run()
-	two := run()
-	if !reflect.DeepEqual(one, two) {
-		t.Fatalf("same-seed CC race diverged:\n%+v\n%+v", one, two)
-	}
-	if !one.Pass {
-		t.Fatalf("cc-fair-native-ctcp failed at seed 42: %+v", *one.Mux)
-	}
-}
-
-// TestSecureChaosReplayIdentity pins the Secure mode three ways: a sealed
-// run is a pure function of the seed (bit-identical replay), it delivers
-// the exact stream its cleartext twin delivers (crypto is invisible to the
-// application), and under a duplicating link the control-channel replays
-// are absorbed by the anti-replay window rather than surfacing as failures.
-func TestSecureChaosReplayIdentity(t *testing.T) {
-	cfg := Config{
-		Seed:     17,
-		PayloadA: 512 << 10,
-		PayloadB: 256 << 10,
-		Link:     netem.LinkConfig{Delay: 3000, Jitter: 1000, Loss: 0.01, Dup: 0.01},
-		Secure:   true,
-	}
-	one, two := Run(cfg), Run(cfg)
-	if !reflect.DeepEqual(one, two) {
-		t.Fatalf("same-seed secure runs diverged:\n%+v\n%+v", one, two)
-	}
-	if !one.OK {
-		t.Fatalf("sealed transfer failed: %+v", one)
-	}
-	if one.A.AuthFails != 0 || one.B.AuthFails != 0 {
-		t.Fatalf("impairment alone caused auth failures: a=%+v b=%+v", one.A, one.B)
-	}
-	if one.A.ReplayDrops+one.B.ReplayDrops == 0 {
-		t.Fatal("1% duplication produced no control replays — the window was never exercised")
-	}
-
-	clear := cfg
-	clear.Secure = false
-	plain := Run(clear)
-	if !plain.OK {
-		t.Fatalf("cleartext twin failed: %+v", plain)
-	}
-	if plain.A.RecvHash != one.A.RecvHash || plain.B.RecvHash != one.B.RecvHash {
-		t.Fatalf("sealed and cleartext runs delivered different streams: %x/%x vs %x/%x",
-			one.A.RecvHash, one.B.RecvHash, plain.A.RecvHash, plain.B.RecvHash)
-	}
-}
 
 // TestRunRealSecureImpaired drives the production stack — authenticated
 // handshake, cookie exchange, sealed channel — through loss and asserts

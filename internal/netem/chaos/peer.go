@@ -3,11 +3,9 @@ package chaos
 import (
 	"fmt"
 	"hash/fnv"
-	"net"
 
 	"udt/internal/congestion"
 	"udt/internal/core"
-	"udt/internal/netem"
 	"udt/internal/packet"
 	"udt/internal/secure"
 	"udt/internal/seqno"
@@ -16,18 +14,16 @@ import (
 
 // Peer is one single-threaded protocol endpoint: the real core engine and
 // buffers, pumped by a deterministic driver loop — the virtual-clock
-// counterpart of udt.Conn's goroutines. The chaos drivers (Run, RunMux) and
-// the campaign harness (internal/campaign) all schedule Peers the same way:
-// deliver queued datagrams, call Service, sleep to NextWake, repeat.
+// counterpart of udt.Conn's goroutines. The driver (internal/campaign's Run)
+// schedules Peers in rounds: deliver arriving datagrams, call Service, sleep
+// to the earliest NextWake, repeat.
 type Peer struct {
-	name     string
-	eng      *core.Conn
-	snd      *core.SndBuffer
-	rcv      *core.RcvBuffer
-	ep       *netem.Endpoint
-	peerAddr net.Addr
-	out      func(b []byte)  // transmit one datagram (mux/campaign drivers stamp prefixes)
-	sec      *secure.Session // nil = cleartext; else every packet seals/opens
+	name string
+	eng  *core.Conn
+	snd  *core.SndBuffer
+	rcv  *core.RcvBuffer
+	out  func(b []byte)  // transmit one datagram (the driver stamps any framing)
+	sec  *secure.Session // nil = cleartext; else every packet seals/opens
 
 	payload  []byte // stream this peer sends
 	sendOff  int
@@ -73,9 +69,8 @@ type PeerOptions struct {
 	// Expect is the stream the other side sends to this peer; the peer
 	// verifies it byte-for-byte (FNV-64a over length and content).
 	Expect []byte
-	// Out transmits one datagram; drivers that route or prefix datagrams
-	// install their own hook. Nil peers must install one via SetOut before
-	// the first Service call.
+	// Out transmits one datagram; the driver's hook adds any framing the
+	// topology needs and offers the datagram to the fabric.
 	Out func(b []byte)
 	// Secure runs the peer over the sealed AEAD channel.
 	Secure *secure.Session
@@ -141,29 +136,6 @@ func NewPeer(o PeerOptions) *Peer {
 	return p
 }
 
-// newPeer builds a Peer attached directly to a netem endpoint, transmitting
-// to peerAddr — the two-peer chaos driver's construction path.
-func newPeer(name string, cfg Config, cc string, isn, peerISN int32, ep *netem.Endpoint, peerAddr net.Addr, payload, expect []byte, sec *secure.Session) *Peer {
-	p := NewPeer(PeerOptions{
-		Name:          name,
-		MSS:           cfg.MSS,
-		SndBufPkts:    cfg.SndBufPkts,
-		RcvBufPkts:    cfg.RcvBufPkts,
-		MinEXP:        cfg.MinEXP,
-		PeerDeathTime: cfg.PeerDeathTime,
-		CC:            cc,
-		ISN:           isn,
-		PeerISN:       peerISN,
-		Payload:       payload,
-		Expect:        expect,
-		Secure:        sec,
-	})
-	p.ep = ep
-	p.peerAddr = peerAddr
-	p.out = func(b []byte) { p.ep.WriteTo(b, p.peerAddr) } //nolint:errcheck // losses are the point
-	return p
-}
-
 // ccFactory resolves a controller name for the engine config; the empty
 // name maps to nil so default runs take the engine's own native path.
 func ccFactory(name string) congestion.Factory {
@@ -192,9 +164,6 @@ func hashOf(p []byte) uint64 {
 	h.Write(p) //nolint:errcheck
 	return h.Sum64()
 }
-
-// SetOut installs the transmit hook (routing/prefixing drivers).
-func (p *Peer) SetOut(out func(b []byte)) { p.out = out }
 
 // Start arms the engine's timers at virtual time now; call exactly once
 // before the first Service.
@@ -253,27 +222,9 @@ func (p *Peer) AttachPerf(sink trace.Sink, everySYN int, flow int32, label strin
 // in acknowledgement order (empty unless TrackAckLatency was set).
 func (p *Peer) AckLatencies() []int64 { return p.ackLat }
 
-// Pump runs one scheduling round for the peer at virtual time now: deliver
-// queued datagrams from its own endpoint, then Service. It reports whether
-// anything happened. Drivers that route datagrams themselves (RunMux, the
-// campaign harness) call Deliver + Service directly instead.
-func (p *Peer) Pump(now int64) (progress bool) {
-	if p.eng.Broken() {
-		return false
-	}
-	for {
-		n, _, ok := p.ep.TryReadFrom(p.rbuf)
-		if !ok {
-			break
-		}
-		p.Deliver(now, p.rbuf[:n])
-		progress = true
-	}
-	return p.Service(now) || progress
-}
-
-// Service runs the non-I/O half of a scheduling round: timers, control
-// emissions, pacing-gated data sends, and buffer movement.
+// Service runs the peer's half of a scheduling round after the driver has
+// delivered its datagrams: timers, control emissions, pacing-gated data
+// sends, and buffer movement. It reports whether anything happened.
 func (p *Peer) Service(now int64) (progress bool) {
 	if p.eng.Broken() {
 		return false
