@@ -61,7 +61,10 @@ type Conn struct {
 	sw     segWriter   // non-nil when sock supports GSO segment trains
 	hr     int         // sock.headroom(), cached: bytes reserved per datagram
 	burst  int         // data packets one sender-lock acquisition may claim
-	closer func()      // tears down socket/listener registration
+	closer func()      // tears down socket/listener registration; run via release
+	// released makes the teardown run exactly once, whichever comes first:
+	// the peer's shutdown or Close (also after the engine failed on its own).
+	released sync.Once
 
 	// shard is the scheduler seat: the connection is a passive poolTask
 	// run by its shard's worker, parked on the shard's timing wheel
@@ -222,7 +225,6 @@ func (c *Conn) failLocked(err error) {
 // Close shuts the connection down, notifying the peer.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	alreadyClosed := c.core.Closed()
 	c.core.Close()
 	var batch sendBatch
 	c.drainOutboxLocked(&batch)
@@ -231,9 +233,7 @@ func (c *Conn) Close() error {
 	for _, b := range batch.msgs {
 		c.sock.writeTo(b, c.raddr) //nolint:errcheck // best-effort shutdown notice
 	}
-	if !alreadyClosed && c.closer != nil {
-		c.closer()
-	}
+	c.release()
 	// Leave the scheduler: after detach the shard guarantees no service
 	// run is in flight or will ever start. A dialed connection also owns
 	// its one-shard pool; stop that worker too.
@@ -261,6 +261,15 @@ func (c *Conn) Close() error {
 		munmapFile(m) //nolint:errcheck // best-effort address-space release
 	}
 	return nil
+}
+
+// release runs the teardown hook once: it unregisters the flow from its
+// mux, or closes a dialed connection's private transport, which unblocks
+// that transport's read loop.
+func (c *Conn) release() {
+	if c.closer != nil {
+		c.released.Do(c.closer)
+	}
 }
 
 // Write queues p on the send buffer, blocking while it is full. It returns
@@ -905,8 +914,8 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 	peerClosed := c.core.Closed()
 	c.mu.Unlock()
 	c.sendCtrlBatch(&c.rcvBatch) //nolint:errcheck // control losses are repaired by timers
-	if peerClosed && c.closer != nil {
-		c.closer()
+	if peerClosed {
+		c.release()
 	}
 	c.kickSender()
 }

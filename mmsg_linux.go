@@ -119,9 +119,7 @@ func (r *rawResult) set(n uintptr, e syscall.Errno) bool {
 // before delivery, so the demultiplexer and the engine see ordinary
 // datagrams, bit-identical to the unoffloaded path.
 type mmsgReader struct {
-	u   *net.UDPConn
 	rc  syscall.RawConn
-	i   int
 	gro bool
 
 	hdrs  []mmsghdr
@@ -154,7 +152,7 @@ func newBatchReader(pc PacketConn, batch int, offload bool, st *offloadStats) ba
 		batch = 1
 	}
 	r := &mmsgReader{
-		u: u, rc: rc,
+		rc:    rc,
 		hdrs:  make([]mmsghdr, batch),
 		iovs:  make([]syscall.Iovec, batch),
 		names: make([]syscall.RawSockaddrAny, batch),
@@ -181,12 +179,6 @@ func newBatchReader(pc PacketConn, batch int, offload bool, st *offloadStats) ba
 }
 
 func (r *mmsgReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error {
-	// Refresh the deadline only periodically, keeping the syscall off the
-	// per-batch hot path (§4.1) while still letting the loop notice Close.
-	if r.i%16 == 0 {
-		r.u.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-	}
-	r.i++
 	for i := range r.hdrs {
 		r.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&r.names[i]))
 		r.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny

@@ -274,8 +274,9 @@ func transientNetErr(err error) bool {
 }
 
 // readLoop pumps the shared socket into the demultiplexer until the
-// transport closes. One flow's dead peer must not take the loop down:
-// queued ICMP errors are skipped, not treated as a closed transport.
+// transport closes: Mux.Close closes the socket, which unblocks the pending
+// read. One flow's dead peer must not take the loop down: queued ICMP
+// errors are skipped, not treated as a closed transport.
 func (m *Mux) readLoop() {
 	defer m.wg.Done()
 	deliver := func(raw []byte, from net.Addr, at time.Time) {
@@ -291,36 +292,19 @@ func (m *Mux) readLoop() {
 	}
 	for {
 		m.readStamp = time.Time{}
-		if err := m.reader.readBatch(deliver); err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				select {
-				case <-m.done:
-					return
-				default:
-					continue
-				}
-			}
-			if transientNetErr(err) {
-				continue
-			}
+		if err := m.reader.readBatch(deliver); err != nil && !transientNetErr(err) {
 			return // transport closed
 		}
 	}
 }
 
-// singleReader is the portable read path: one ReadFrom per call, with a
-// periodically refreshed deadline so the loop notices Close.
+// singleReader is the portable read path: one ReadFrom per call.
 type singleReader struct {
 	pc  PacketConn
 	buf []byte
-	i   int
 }
 
 func (r *singleReader) readBatch(deliver func([]byte, net.Addr, time.Time)) error {
-	if r.i%16 == 0 {
-		r.pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-	}
-	r.i++
 	n, from, err := r.pc.ReadFrom(r.buf)
 	if err != nil {
 		return err

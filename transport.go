@@ -220,27 +220,16 @@ func listenOn(pc PacketConn, cfg *Config, rcvBuf, sndBuf int) (*Listener, error)
 	return l, nil
 }
 
-// dialedReadLoop feeds a dialed connection from its private transport.
+// dialedReadLoop feeds a dialed connection from its private transport
+// until the transport closes. Conn.Close closes it, which unblocks the
+// pending read (the PacketConn contract); there is no deadline to poll. A
+// connection that failed on its own — its peer died — keeps this reader
+// parked until the application calls Close.
 func dialedReadLoop(pc PacketConn, conn *Conn) {
 	buf := make([]byte, 65536)
-	for i := 0; ; i++ {
-		// A bounded read deadline stands in for RCV_TIMEO (§4.8): timers
-		// are serviced by the sender loop, so the read may simply retry.
-		// Refreshing it only periodically keeps the syscall off the
-		// per-packet hot path (§4.1).
-		if i%16 == 0 {
-			pc.SetReadDeadline(time.Now().Add(100 * time.Millisecond)) //nolint:errcheck
-		}
+	for {
 		n, from, err := pc.ReadFrom(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				select {
-				case <-conn.closed:
-					return
-				default:
-					continue
-				}
-			}
 			return // transport closed
 		}
 		if !addrEqual(from, conn.raddr) {
