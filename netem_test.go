@@ -176,7 +176,24 @@ func TestNetemPartitionPeerDeath(t *testing.T) {
 	watch(client)
 	watch(server)
 
-	time.Sleep(100 * time.Millisecond)
+	// Cut only once both ends are hearing each other: the engine measures
+	// silence from the last packet it heard, so a cut taken while an end
+	// has heard nothing since the handshake (a slow start under the race
+	// detector) would measure the bound from the wrong origin.
+	warmup := time.After(10 * time.Second)
+	for hearing := false; !hearing; {
+		cs, ss := client.Stats(), server.Stats()
+		hearing = cs.PktsRecv > 0 && cs.ACKsRecv > 0 && ss.PktsRecv > 0 && ss.ACKsRecv > 0
+		if !hearing {
+			select {
+			case err := <-errs:
+				t.Fatalf("endpoint failed before the partition: %v", err)
+			case <-warmup:
+				t.Fatalf("no two-way traffic 10 s after dialing: client %+v server %+v", cs, ss)
+			case <-time.After(5 * time.Millisecond):
+			}
+		}
+	}
 	start := time.Now()
 	nw.Partition("c", "s")
 
