@@ -8,9 +8,11 @@
 //	udtchaos [-seed N] [-determinism] [-ccmatrix] [-campaign] [-real] [-v]
 //	         [-kv] [-metrics FILE] [-report DIR]
 //
-// Exit status is non-zero if any matrix cell fails. With -determinism each
-// cell runs twice and the two results must be bit-identical — the replay
-// guarantee the virtual clock provides. With -ccmatrix the congestion-control
+// Every virtual-clock cell is a campaign Spec run by campaign.Run, the one
+// virtual-time driver, and prints its Report's summary line. Exit status is
+// non-zero if any matrix cell fails. With -determinism each cell runs twice
+// and the two report digests must match — the replay guarantee the virtual
+// clock provides. With -ccmatrix the congestion-control
 // matrix runs instead of the impairment matrix: every pluggable law carries
 // a transfer through loss, and fairness cells race two laws over one shared
 // rate-capped link. With -campaign the CI campaign set runs instead: the

@@ -263,11 +263,11 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	}
 	// Routers forward in sorted-name order each round — deterministic.
 	sort.Slice(routers, func(i, j int) bool { return routers[i].name < routers[j].name })
+	routed := len(routers) > 0
 	order := routers
 	for _, n := range leafOrder {
 		order = append(order, nodes[n])
 	}
-	routed := len(routers) > 0
 	for _, l := range topo.links {
 		nw.SetLink(l.a, l.b, l.cfg)
 	}
@@ -324,7 +324,6 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 			PeerDeathTime: spec.PeerDeathTime,
 		}
 		sOpts := base
-		sOpts.Name = fmt.Sprintf("%s→%s#%d", f.Src, f.Dst, i)
 		sOpts.CC = f.CC
 		sOpts.ISN, sOpts.PeerISN = isnS, isnD
 		sOpts.Payload, sOpts.Expect = payload, back
@@ -332,7 +331,6 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 		sOpts.Secure = secS
 		sOpts.TrackAckLatency = true
 		dOpts := base
-		dOpts.Name = fmt.Sprintf("%s←%s#%d", f.Dst, f.Src, i)
 		dOpts.CC = dstCC
 		dOpts.ISN, dOpts.PeerISN = isnD, isnS
 		dOpts.Payload, dOpts.Expect = back, payload
@@ -478,7 +476,7 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	}
 
 	rep.ElapsedUs = vc.Now()
-	for _, nd := range nodes {
+	for _, nd := range order {
 		if nd.demux != nil {
 			unknown, short := nd.demux.Counters()
 			misrouted += int64(unknown + short)
@@ -490,7 +488,7 @@ func Run(spec Spec) (*Report, *Monitor, error) {
 	buildLinkReports(rep, monitor, nw)
 	summarize(rep)
 	rep.OK = !rep.TimedOut && rep.Summary.FlowsOK == len(rep.Flows) && rep.Misrouted == 0 && unroutable == 0
-	for _, nd := range nodes {
+	for _, nd := range order {
 		nd.ep.Close() //nolint:errcheck
 	}
 	return rep, monitor, nil
@@ -544,8 +542,8 @@ func buildFlowReports(rep *Report, flows []*flowState) {
 			RecvBytes:     dr.RecvBytes,
 			BackRecvBytes: sr.RecvBytes,
 			RecvOK:        dr.RecvOK && sr.RecvOK,
-			Retrans:       sr.Stats.PktsRetrans,
-			Timeouts:      sr.Stats.Timeouts,
+			Retrans:       sr.Stats.PktsRetrans + dr.Stats.PktsRetrans,
+			Timeouts:      sr.Stats.Timeouts + dr.Stats.Timeouts,
 			Broken:        sr.Broken || dr.Broken,
 			SrcPeer:       sr,
 			DstPeer:       dr,

@@ -36,9 +36,12 @@ type FlowReport struct {
 	GoodputMbps float64 `json:"goodput_mbps"`
 	// P99AckUs is the flow's 99th-percentile write→acked latency, µs.
 	P99AckUs int64 `json:"p99_ack_us"`
+	// Retrans and Timeouts add up both ends' retransmissions and EXP
+	// timeouts (a one-way flow's Dst has nothing to retransmit).
 	Retrans  int64 `json:"retrans"`
 	Timeouts int64 `json:"timeouts"`
-	Broken   bool  `json:"broken"`
+	// Broken reports either end declared its peer dead.
+	Broken bool `json:"broken"`
 	// SrcPeer and DstPeer are the two ends' full outcomes: byte counts,
 	// stream hash, death time and every protocol counter.
 	SrcPeer chaos.PeerResult `json:"-"`

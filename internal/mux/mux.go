@@ -214,7 +214,7 @@ func (c *Core) AllocID(rand func() int32, f Flow) int32 {
 }
 
 // Register binds f to an explicitly chosen socket ID, for callers that
-// assign IDs deterministically (the chaos harness). It reports false if
+// assign IDs deterministically (the campaign driver). It reports false if
 // the ID is invalid or already bound.
 func (c *Core) Register(id int32, f Flow) bool {
 	if !IDValid(id) {

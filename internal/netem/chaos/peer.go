@@ -18,12 +18,11 @@ import (
 // schedules Peers in rounds: deliver arriving datagrams, call Service, sleep
 // to the earliest NextWake, repeat.
 type Peer struct {
-	name string
-	eng  *core.Conn
-	snd  *core.SndBuffer
-	rcv  *core.RcvBuffer
-	out  func(b []byte)  // transmit one datagram (the driver stamps any framing)
-	sec  *secure.Session // nil = cleartext; else every packet seals/opens
+	eng *core.Conn
+	snd *core.SndBuffer
+	rcv *core.RcvBuffer
+	out func(b []byte)  // transmit one datagram (the driver stamps any framing)
+	sec *secure.Session // nil = cleartext; else every packet seals/opens
 
 	payload  []byte // stream this peer sends
 	sendOff  int
@@ -49,8 +48,6 @@ type Peer struct {
 
 // PeerOptions parameterizes one driver-pumped protocol endpoint.
 type PeerOptions struct {
-	// Name identifies the peer in panics and debugging output.
-	Name string
 	// MSS is the UDT packet size in bytes. Default 1472.
 	MSS int
 	// SndBufPkts and RcvBufPkts size the peer buffers. Default 4096.
@@ -75,8 +72,8 @@ type PeerOptions struct {
 	// Secure runs the peer over the sealed AEAD channel.
 	Secure *secure.Session
 	// TrackAckLatency records per-packet write→acked latencies
-	// (AckLatencies); costs one map entry per in-flight packet, so it is
-	// off on the hot chaos matrix and on for campaign monitoring.
+	// (AckLatencies); costs one map entry per in-flight packet. The
+	// campaign driver sets it on each flow's source end.
 	TrackAckLatency bool
 }
 
@@ -108,7 +105,6 @@ func NewPeer(o PeerOptions) *Peer {
 		scratch += secure.CtrlOverhead
 	}
 	p := &Peer{
-		name:     o.Name,
 		eng:      core.NewConn(ccfg, o.PeerISN),
 		sec:      o.Secure,
 		out:      o.Out,

@@ -46,8 +46,9 @@ type RealResult struct {
 
 // RunReal pushes cfg.Payload bytes through the production udt stack over
 // an impaired netem fabric and verifies the stream arrives bit-exactly.
-// Unlike Run it is concurrent and wall-clock timed: packet-level replay is
-// not deterministic, but the impairment draw sequence per path still is.
+// Unlike the virtual-clock campaign driver it is concurrent and wall-clock
+// timed: packet-level replay is not deterministic, but the impairment draw
+// sequence per path still is.
 func RunReal(cfg RealConfig) (RealResult, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second

@@ -13,7 +13,7 @@
 // Determinism contract: every impairment decision is drawn from a per-path
 // PRNG seeded from the Net seed and the path's endpoint names, in packet
 // offer order, and all scheduling goes through a Clock. Under a
-// VirtualClock with a single-threaded driver (see internal/netem/chaos) a
+// VirtualClock with a single-threaded driver (internal/campaign's Run) a
 // run is bit-identical across replays: same deliveries, same order, same
 // stats. Under a RealClock the draw sequence per path is still fixed by the
 // seed, but wall-clock scheduling decides how offers interleave, so only
