@@ -13,12 +13,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# muxrace is the quick concurrency gate: the shared-socket demultiplexer and
-# the chaos harness under the race detector in short mode (the full 1000-flow
-# stress runs in `make race`).
+# muxrace is the quick concurrency gate: the shared-socket demultiplexer, the
+# chaos toolkit and the campaign driver (whose multiplexed cells demultiplex
+# through internal/mux) under the race detector in short mode (the full
+# 1000-flow stress runs in `make race`).
 muxrace:
-	$(GO) vet ./internal/mux ./internal/netem/chaos
-	$(GO) test -race -short ./internal/mux ./internal/netem/chaos
+	$(GO) vet ./internal/mux ./internal/netem/chaos ./internal/campaign
+	$(GO) test -race -short ./internal/mux ./internal/netem/chaos ./internal/campaign
 
 # fabric is the transport-adapter + rendezvous + udtfs race gate: the pipe
 # and framed adapters, simultaneous-dial crossings on shared mux sockets
@@ -49,18 +50,18 @@ docs:
 	$(GO) run ./scripts/doccheck . fabric udtfs internal/campaign internal/congestion internal/core internal/metrics internal/mux internal/netem internal/netem/chaos internal/timerwheel internal/timing internal/trace
 	$(GO) run ./scripts/mdcheck
 
-# chaos runs the fixed-seed fault-injection matrix: full transfers of
-# checksummed payloads through impaired netem paths (loss, bursts,
-# corruption, reordering, partitions), each cell replayed twice under the
-# virtual clock and required to be bit-identical, plus a real-stack smoke
-# pass. Seconds of wall time; see EXPERIMENTS.md.
+# chaos runs the fixed-seed fault-injection matrix (campaign.QuickMatrix):
+# full transfers of checksummed payloads through impaired netem paths (loss,
+# bursts, corruption, reordering, partitions), each cell replayed twice under
+# the virtual clock and required to hash identically, plus a real-stack
+# smoke pass. Seconds of wall time; see EXPERIMENTS.md.
 chaos:
 	$(GO) run ./cmd/udtchaos -determinism -real
 
-# ccmatrix runs the congestion-control matrix: each pluggable law (native,
-# ctcp, scalable, hstcp) carrying transfers through loss, plus fairness cells
-# racing two laws over one shared rate-capped link — all replayed twice and
-# required to be bit-identical. See DESIGN.md "Configurable congestion
+# ccmatrix runs the congestion-control matrix (campaign.CCMatrix): each
+# pluggable law carrying transfers through loss, plus fairness cells racing
+# two laws over one shared rate-capped link — all replayed twice and required
+# to hash identically. See DESIGN.md "Configurable congestion
 # control".
 ccmatrix:
 	$(GO) run ./cmd/udtchaos -ccmatrix -determinism

@@ -16,9 +16,10 @@ GOOS=windows go build ./...
 # must resolve (mdcheck covers DESIGN.md, EXPERIMENTS.md and README.md).
 go run ./scripts/doccheck . fabric udtfs internal/campaign internal/congestion internal/core internal/metrics internal/mux internal/netem internal/netem/chaos internal/secure internal/timerwheel internal/timing internal/trace
 go run ./scripts/mdcheck
-# Fast fail on the concurrency-heavy packages first: the demultiplexer and
-# the chaos harness in short mode, before the full (slower) race run.
-go test -race -short ./internal/mux ./internal/netem/chaos
+# Fast fail on the concurrency-heavy packages first: the demultiplexer, the
+# chaos toolkit and the campaign driver (its multiplexed cells demultiplex
+# through internal/mux) in short mode, before the full (slower) race run.
+go test -race -short ./internal/mux ./internal/netem/chaos ./internal/campaign
 go test -race ./...
 # The benchmark is its own Go module, so ./... above never reaches it: run
 # its short tests (the byte verifier, the loss-path check on traced bulk,

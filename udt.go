@@ -341,8 +341,8 @@ type Stats struct {
 	// dropped because their sequence number was already accepted — e.g.
 	// an off-path attacker re-injecting a captured shutdown.
 	ReplayDrops uint64
-	// CCName names the congestion-control law driving the sender
-	// ("native", "ctcp", "scalable", "hstcp").
+	// CCName names the congestion-control law driving the sender: one of
+	// the names CongestionControls returns.
 	CCName string
 	// CCPeriodUs is the controller's live packet sending period in µs;
 	// 0 means unpaced (slow start).
