@@ -200,6 +200,32 @@ func TestScriptedEventPerturbsCampaign(t *testing.T) {
 	}
 }
 
+// TestSharedNodeDemultiplexes runs two flows into one node of a
+// router-free topology: b hosts both destination ends and demultiplexes by
+// socket ID, while a and c, hosting one end each, get bare packets.
+func TestSharedNodeDemultiplexes(t *testing.T) {
+	topo := NewTopology()
+	topo.AddLink("a", "b", netem.LinkConfig{Delay: 1000, Loss: 0.01})
+	topo.AddLink("c", "b", netem.LinkConfig{Delay: 3000})
+	flows := []FlowSpec{
+		{Src: "a", Dst: "b", Payload: 64 << 10, Back: 8 << 10},
+		{Src: "c", Dst: "b", Payload: 32 << 10, CC: "ctcp", DstCC: "native"},
+	}
+	rep, _, err := Run(Spec{Name: "shared", Seed: 9, Topology: topo, Flows: flows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK || rep.Misrouted != 0 || rep.Summary.FlowsOK != 2 {
+		t.Fatalf("shared-node campaign failed: misrouted=%d %s", rep.Misrouted, rep)
+	}
+	if f := rep.Flows[0]; f.RecvBytes != 64<<10 || f.BackRecvBytes != 8<<10 || f.Retrans == 0 {
+		t.Fatalf("flow 0 over the lossy link: %+v", f)
+	}
+	if f := rep.Flows[1]; f.CC != "ctcp" || f.DstCC != "native" || f.BackRecvBytes != 0 {
+		t.Fatalf("flow 1: %+v", f)
+	}
+}
+
 func TestRunRejectsInvalidSpecs(t *testing.T) {
 	if _, _, err := Run(Spec{Name: "nil-topo"}); err == nil {
 		t.Fatal("nil topology must be rejected")
