@@ -883,6 +883,7 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 	}
 	c.mu.Lock()
 	t0 := c.ledger.Start()
+	kick := true
 	switch ctrl.Type {
 	case packet.TypeACK:
 		if a, err := packet.DecodeACK(ctrl); err == nil {
@@ -900,7 +901,10 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 	case packet.TypeACK2:
 		c.core.HandleACK2(now, ctrl.Extra)
 	case packet.TypeKeepAlive:
+		// A keep-alive moves no deadline and queues no output, so the
+		// service wake the flow is parked on stays right: no kick.
 		c.core.HandleKeepAlive(now)
+		kick = false
 	case packet.TypeShutdown:
 		c.core.HandleShutdown(now)
 		c.failLocked(ErrClosed)
@@ -917,7 +921,9 @@ func (c *Conn) handleDatagramAt(raw []byte, now int64) {
 	if peerClosed {
 		c.release()
 	}
-	c.kickSender()
+	if kick {
+		c.kickSender()
+	}
 }
 
 // Drained reports whether every written byte has been sent and
