@@ -255,7 +255,12 @@ func (k *killWriter) Write(p []byte) (int, error) {
 // re-requests from the verified offset, and the assembled file is
 // byte-identical with the whole-file digest intact.
 func TestFetchResume(t *testing.T) {
-	h := newHarness(t, ServerConfig{}, nil)
+	// A 256-packet receive buffer bounds what the client can hold unread,
+	// so when 1 MiB has reached the writer the server cannot have sent
+	// the whole 4 MiB yet and the kill always lands mid-transfer. With the
+	// default 8192-packet buffer the client could buffer the whole file
+	// first and the fetch finished without ever being interrupted.
+	h := newHarness(t, ServerConfig{}, &udt.Config{RcvBuf: 256})
 	path, data, digest := tempFile(t, 4<<20)
 	h.srv.Register("payload", path)
 
