@@ -142,6 +142,7 @@ func (t *Topology) validate(flows []FlowSpec) error {
 		return fmt.Errorf("campaign: no flows")
 	}
 	endpoint := make(map[string]int) // leaf name → first flow using it
+	var shared error                 // the first node found hosting two flow ends
 	for i, f := range flows {
 		if f.Src == f.Dst {
 			return fmt.Errorf("campaign: flow %d sends to itself (%q)", i, f.Src)
@@ -150,21 +151,15 @@ func (t *Topology) validate(flows []FlowSpec) error {
 			if _, ok := t.index[n]; !ok {
 				return fmt.Errorf("campaign: flow %d endpoint %q not in topology", i, n)
 			}
-			if _, dup := endpoint[n]; !dup {
+			if j, dup := endpoint[n]; !dup {
 				endpoint[n] = i
+			} else if shared == nil {
+				shared = fmt.Errorf("campaign: node %q is an endpoint of both flow %d and flow %d", n, j, i)
 			}
 		}
 	}
-	if len(endpoint) < len(t.nodes) {
-		seen := make(map[string]int)
-		for i, f := range flows {
-			for _, n := range []string{f.Src, f.Dst} {
-				if j, dup := seen[n]; dup {
-					return fmt.Errorf("campaign: node %q is an endpoint of both flow %d and flow %d", n, j, i)
-				}
-				seen[n] = i
-			}
-		}
+	if shared != nil && len(endpoint) < len(t.nodes) {
+		return shared // the topology has a router
 	}
 	for i, f := range flows {
 		path, err := t.pathNodes(f.Src, f.Dst)
