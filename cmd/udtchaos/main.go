@@ -12,10 +12,9 @@
 // virtual-time driver, and prints its Report's summary line. Exit status is
 // non-zero if any matrix cell fails. With -determinism each cell runs twice
 // and the two report digests must match — the replay guarantee the virtual
-// clock provides. With -ccmatrix the congestion-control
-// matrix runs instead of the impairment matrix: every pluggable law carries
-// a transfer through loss, and fairness cells race two laws over one shared
-// rate-capped link. With -campaign the CI campaign set runs instead: the
+// clock provides. With -ccmatrix the congestion-control matrix runs instead
+// of the impairment matrix: every pluggable law carries a transfer through
+// loss, and fairness cells race two laws over one shared rate-capped link. With -campaign the CI campaign set runs instead: the
 // 100-flow mixed-law dumbbell and the 32-flow flash-crowd star over multi-hop
 // netem topologies (-kv prints flat benchdiff metric lines, -metrics writes
 // them as JSON, -report writes per-campaign JSONL reports). With -real a
@@ -234,12 +233,16 @@ func writeReport(dir, name string, rep *campaign.Report) error {
 	return f.Close()
 }
 
-// printDetail prints a virtual-clock report's per-law breakdown when its
+// maxFlowLines caps the per-flow lines printDetail writes: matrix cells
+// have a few flows, campaigns a hundred.
+const maxFlowLines = 8
+
+// printDetail prints a virtual-clock report's per-flow goodput when its
 // flows mix laws (each direction's share of the run: received bytes over
 // elapsed time), and with verbose every impaired link direction and every
 // flow's counters.
 func printDetail(rep *campaign.Report, verbose bool) {
-	if len(rep.Summary.CCGoodput) > 1 && len(rep.Flows) <= 8 {
+	if len(rep.Summary.CCGoodput) > 1 && len(rep.Flows) <= maxFlowLines {
 		for _, f := range rep.Flows {
 			fmt.Printf("    flow %d %-9s goodput fwd=%.2f Mb/s back=%.2f Mb/s\n", f.ID, f.CC,
 				float64(f.RecvBytes)*8/float64(rep.ElapsedUs), float64(f.BackRecvBytes)*8/float64(rep.ElapsedUs))
@@ -254,7 +257,7 @@ func printDetail(rep *campaign.Report, verbose bool) {
 				l.From, l.To, l.Offered, l.Delivered, l.Lost, l.DroppedQueue, l.MaxQueuePkts)
 		}
 	}
-	if len(rep.Flows) <= 8 {
+	if len(rep.Flows) <= maxFlowLines {
 		for _, f := range rep.Flows {
 			fmt.Printf("    flow %d src: %+v\n    flow %d dst: %+v\n", f.ID, f.SrcPeer.Stats, f.ID, f.DstPeer.Stats)
 		}
